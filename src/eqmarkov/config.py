@@ -50,8 +50,7 @@ class Tolerances:
     extrapolation_chords: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
 
     # extremal oracles
-    grid_per_degree: int = 40            # constraint points per band per degree
-    refine_factor: int = 10              # validation grid densification
+    grid_per_degree: int = 4             # start-grid points per band per degree; cutting planes add the rest
     refine_max_rounds: int = 60
     cert_slack: float = 1e-6             # certified_norm <= 1 + cert_slack
     objective_recheck: float = 1e-9

@@ -14,6 +14,7 @@ handful of primitives in this module.  Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -89,7 +90,16 @@ def gauss_legendre(n: int, *, tol: Tolerances = DEFAULT_TOL) -> QuadratureRule:
     """Classical n-point Gauss-Legendre rule on [-1,1]."""
     if not isinstance(n, (int, np.integer)) or n < 1 or n > tol.gl_max_points:
         raise InvalidArgumentError(f"gauss_legendre size must be in [1, {tol.gl_max_points}]")
-    nodes, weights = _spec.roots_legendre(int(n))
+    return _gauss_legendre_rule(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_rule(n: int) -> QuadratureRule:
+    # Doubling quadratures ask for the same few sizes over and over; the
+    # cached arrays are shared by every caller, hence read-only.
+    nodes, weights = _spec.roots_legendre(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes, weights, "gauss-legendre")
 
 

@@ -5,8 +5,8 @@ them is evidence, not tautology.  Wherever an extremal value is known exactly
 (Chebyshev polynomials and their derivatives) the LP is held to a two-sided
 bracket: the reported value sits above the true supremum because the norm
 constraint lives on a grid, and at most a factor 1 + 1e-6 above it because the
-certificate bounds the witness norm on a ten-times-finer grid.  The L2 pencil
-gets an independent QUADPACK-assembled oracle.
+certificate bounds the witness's exact sup norm.  The L2 pencil gets an
+independent QUADPACK-assembled oracle.
 """
 
 import dataclasses
@@ -28,6 +28,7 @@ from eqmarkov.extremal import (
     ExtremalResult,
     PolyBasis,
     VerifyReport,
+    VidenskiiReport,
     l2_ratio_numeric,
     markov_constant_numeric,
     pointwise_derivative_sup,
@@ -135,6 +136,40 @@ class TestExtremalResult:
                 order=1,
             )
 
+    def test_caller_slack_honoured(self):
+        tight = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-9)
+        with pytest.raises(NumericFailureError):
+            ExtremalResult(
+                value=1.0,
+                coefficients=(1.0,),
+                grid=(0.0,),
+                refinements=0,
+                certified_norm=1.0 + 1e-7,
+                degree=1,
+                order=1,
+                cert_slack=tight.cert_slack,
+            )
+        res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 11), 0.0, tol=tight)
+        assert res.certified_norm <= 1.0 + tight.cert_slack
+        report = dict(beta=2.0, degree=4, pointwise_ratios=(1.0 + 1e-7,),
+                      max_pointwise_ratio=1.0 + 1e-7, markov_ratio=1.0)
+        assert VidenskiiReport(**report).ok
+        assert not VidenskiiReport(**report, cert_slack=tight.cert_slack).ok
+        # cert_slack under lp_feasibility: points between the two must still
+        # become cutting planes (n = 8 at the center stalls without them)
+        tighter = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-10)
+        assert tighter.cert_slack < tighter.lp_feasibility
+        res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 8), 0.0, tol=tighter)
+        assert res.certified_norm <= 1.0 + tighter.cert_slack
+        per = PeriodicSet(IntervalUnion((-2.0, 2.0)))
+        res = pointwise_derivative_sup(per, PolyBasis("trigonometric", 6), 0.3, tol=tighter)
+        assert res.certified_norm <= 1.0 + tighter.cert_slack
+        # below what the LP itself honours, the failure is named at once
+        # instead of spending the refinement budget on the same LP
+        tightest = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-12)
+        with pytest.raises(NumericFailureError, match="own constraints"):
+            pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 7), 0.0, tol=tightest)
+
 
 # ---------------------------------------------------------------------------
 # pointwise LP
@@ -221,12 +256,10 @@ class TestMarkovLP:
         assert res.order == 1 and res.degree == 8
 
     def test_higher_order_frozen(self):
-        # Upper slack: certificate (1e-6) plus the witness-norm gap between
-        # fine-grid points, which scales like (pi / 800)^2 / 2 ~ 8e-6.
         assert va_markov_exact(6, 3) == 2688.0
         basis = PolyBasis("algebraic-chebyshev", 6)
         res = markov_constant_numeric(UNIT, basis, k=3)
-        assert 2688.0 - 1e-6 <= res.value <= 2688.0 * (1.0 + 2e-5)
+        assert 2688.0 - 1e-6 <= res.value <= 2688.0 * (1.0 + 2e-6)
 
     def test_equality_witness_identity(self):
         for n, k in [(5, 1), (8, 2), (11, 3), (6, 6)]:
@@ -249,6 +282,146 @@ class TestMarkovLP:
         assert ratios[1] >= ratios[0] - 1e-9
         assert ratios[1] > 0.8
         assert ratios[1] <= 1.0 + DEFAULT_TOL.asymptotic_slack
+
+
+# ---------------------------------------------------------------------------
+# exact sup-norm certificate
+# ---------------------------------------------------------------------------
+
+def brute_sup_algebraic(coeffs, bands, reference, points=2_000_001) -> float:
+    """max |P| over the bands: a uniform grid per band plus the real roots of P'."""
+    c = np.asarray(coeffs, dtype=float)
+    mid, half = 0.5 * (reference[0] + reference[1]), 0.5 * (reference[1] - reference[0])
+    roots = cheb.chebroots(cheb.chebder(c))
+    roots = roots[np.abs(roots.imag) < 1e-9].real
+    best = 0.0
+    for lo, hi in bands:
+        s_lo, s_hi = (lo - mid) / half, (hi - mid) / half
+        s = np.concatenate([np.linspace(s_lo, s_hi, points), roots[(roots > s_lo) & (roots < s_hi)]])
+        best = max(best, float(np.max(np.abs(cheb.chebval(s, c)))))
+    return best
+
+
+def trig_eval(coeffs, t):
+    c = np.asarray(coeffs, dtype=float)
+    out = np.full(np.shape(t), c[0])
+    for j in range(1, (c.size - 1) // 2 + 1):
+        out += c[2 * j - 1] * np.cos(j * t) + c[2 * j] * np.sin(j * t)
+    return out
+
+
+def brute_sup_trig(coeffs, bands, points=2_000_001) -> float:
+    """max |T| over the bands: a uniform grid plus the unimodular roots of z^n T'."""
+    c = np.asarray(coeffs, dtype=float)
+    n = (c.size - 1) // 2
+    j = np.arange(1, n + 1)
+    # T' has cosine coefficients j b_j and sine coefficients -j a_j
+    up = 0.5 * (j * c[2::2] + 1j * j * c[1::2])
+    zpoly = np.concatenate([np.conj(up)[::-1], [0.0], up])
+    roots = np.polynomial.polynomial.polyroots(zpoly)
+    crit = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])
+    best = 0.0
+    for lo, hi in bands:
+        t = np.concatenate([np.linspace(lo, hi, points), crit[(crit > lo) & (crit < hi)]])
+        best = max(best, float(np.max(np.abs(trig_eval(c, t)))))
+    return best
+
+
+def zoomed_grid_max(f, lo, hi, coarse=20_001, fine=20_001, top=8) -> float:
+    """max |f| over [lo, hi] by sampling alone: a uniform grid, then a finer
+    one around each of the strongest local maxima."""
+    x = np.linspace(lo, hi, coarse)
+    v = np.abs(f(x))
+    padded = np.concatenate([[-np.inf], v, [-np.inf]])
+    peaks = np.flatnonzero((v >= padded[:-2]) & (v >= padded[2:]))
+    best = float(np.max(v))
+    for i in peaks[np.argsort(v[peaks])][-top:]:
+        xs = np.linspace(x[max(i - 1, 0)], x[min(i + 1, coarse - 1)], fine)
+        best = max(best, float(np.max(np.abs(f(xs)))))
+    return best
+
+
+class TestExactCertificate:
+    """The LP witness's sup norm, recomputed without the library's kernel,
+    stays within the certificate, and the kernel itself matches sampling."""
+
+    def test_pointwise_unit_n7(self):
+        res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 7), 0.0)
+        norm = brute_sup_algebraic(res.coefficients, UNIT.bands, (-1.0, 1.0))
+        assert norm <= 1.0 + DEFAULT_TOL.cert_slack
+        assert 7.0 * (1.0 - 1e-9) <= res.value <= 7.0 * (1.0 + DEFAULT_TOL.cert_slack)
+
+    def test_markov_two_band_n4(self):
+        res = markov_constant_numeric(TWO, PolyBasis("algebraic-chebyshev", 4))
+        norm = brute_sup_algebraic(res.coefficients, TWO.bands, TWO.covering_interval)
+        assert norm <= 1.0 + DEFAULT_TOL.cert_slack
+
+    def test_periodic_trig_n6(self):
+        per = PeriodicSet(IntervalUnion((-2.0, 2.0)))
+        res = pointwise_derivative_sup(per, PolyBasis("trigonometric", 6), 0.3)
+        norm = brute_sup_trig(res.coefficients, per.base.bands)
+        assert norm <= 1.0 + DEFAULT_TOL.cert_slack
+
+    def test_one_lp_per_round(self, monkeypatch):
+        import eqmarkov.extremal as ex
+
+        calls = []
+        real = ex.simplex_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "simplex_solve", counting)
+        res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 11), 0.0)
+        assert res.refinements >= 1
+        assert len(calls) == res.refinements + 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_matches_dense_sampling(self, seed):
+        from eqmarkov.extremal import _circle_norm, _sup_norm
+
+        rng = np.random.default_rng([seed, 2026])
+        eps = np.finfo(float).eps
+
+        # algebraic: random reference interval and one to three bands inside it
+        n = int(rng.integers(1, 16))
+        lo, hi = sorted(rng.uniform(-2.0, 2.0, 2))
+        ref = (lo - rng.uniform(0.0, 0.5), hi + rng.uniform(0.0, 0.5))
+        cuts = np.sort(rng.uniform(lo, hi, 2 * int(rng.integers(0, 3))))
+        ends = np.concatenate([[lo], cuts, [hi]])
+        bands = tuple(zip(ends[0::2], ends[1::2]))
+        c = rng.standard_normal(n + 1)
+        mid, half = 0.5 * (ref[0] + ref[1]), 0.5 * (ref[1] - ref[0])
+        got = _sup_norm(PolyBasis("algebraic-chebyshev", n, ref), c, bands)
+        # sampled in the angle of each band, where P is uniformly smooth
+        want = max(
+            zoomed_grid_max(
+                lambda th, a=a, b=b: cheb.chebval((0.5 * (a + b) + 0.5 * (b - a) * np.cos(th) - mid) / half, c),
+                0.0, math.pi)
+            for a, b in bands
+        )
+        assert got >= want - 8 * eps * np.sum(np.abs(c))
+        assert abs(got - want) <= 1e-12 * want
+
+        # trigonometric: one arc, which may wrap past +-pi
+        n = int(rng.integers(1, 16))
+        a = rng.uniform(-math.pi, math.pi)
+        b = a + rng.uniform(0.2, 2.0 * math.pi)
+        c = rng.standard_normal(2 * n + 1)
+        got = _sup_norm(PolyBasis("trigonometric", n), c, ((a, b),))
+        want = zoomed_grid_max(lambda t: trig_eval(c, t), a, b)
+        assert got >= want - 8 * eps * np.sum(np.abs(c))
+        assert abs(got - want) <= 1e-12 * want
+
+        # the circle: |P(e^{it})| through the square of its modulus
+        n = int(rng.integers(1, 16))
+        c = rng.standard_normal(n + 1)
+        got = _circle_norm(c)
+        want = zoomed_grid_max(
+            lambda t: np.polynomial.polynomial.polyval(np.exp(1j * t), c), -math.pi, math.pi)
+        assert got >= want - 8 * eps * np.sum(np.abs(c))
+        assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
