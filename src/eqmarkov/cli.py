@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -99,7 +98,6 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
     corrupt_density: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         if self.n is not None and self.n < 1:
@@ -118,8 +116,6 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"unknown inequality {self.inequality!r}; choose from {VERIFY_INEQUALITIES}"
             )
-        if self.threads is not None and self.threads < 1:
-            raise InvalidArgumentError("EQM_THREADS must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ _CONFIG_KEYS = None
 def _known_keys() -> set:
     global _CONFIG_KEYS
     if _CONFIG_KEYS is None:
-        _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "threads"}
+        _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
         _CONFIG_KEYS.add("set")
         _CONFIG_KEYS.add("format")
     return _CONFIG_KEYS
@@ -198,17 +194,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
             merged[{"set": "set_spec", "format": "fmt"}.get(key, key)] = value
     for f in fields(RunConfig):
-        if f.name in ("command", "threads"):
+        if f.name == "command":
             continue
         value = getattr(args, f.name, None)
         if value is not None:
             merged[f.name] = value
-    threads = os.environ.get("EQM_THREADS")
-    if threads is not None:
-        try:
-            merged["threads"] = int(threads)
-        except ValueError as exc:
-            raise InvalidArgumentError("EQM_THREADS must be an integer") from exc
     return RunConfig(command=args.command, **merged)
 
 

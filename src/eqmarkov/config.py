@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class Tolerances:
     # quadrature
-    quad_initial_points: int = 64        # first Gauss-Legendre size per band
+    quad_initial_points: int = 64        # first Gauss-Chebyshev size per band
     quad_max_points: int = 4096          # doubling cap
     quad_rel: float = 1e-12              # doubling stop: |change| < quad_rel * max(1, |value|)
     gl_weight_sum: float = 1e-13         # Gauss-Legendre weights must sum to 2 this tightly

@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.linalg import solve_triangular
-from scipy.optimize import minimize_scalar  # noqa: F401  unused; perfbench/spans.py traces it by this name
 
 from .config import DEFAULT_TOL, Tolerances
 from .equilibrium import arc_density, interval_density, solve_xi
@@ -65,6 +63,17 @@ __all__ = [
 
 BASIS_KINDS = ("algebraic-chebyshev", "trigonometric")
 L2_MODES = ("markov", "gradient-bernstein", "omega-bernstein")
+
+
+def __getattr__(name: str):
+    # Nothing here calls scipy's minimize_scalar, but perfbench/spans.py
+    # traces it by this name; importing it on access keeps scipy.optimize
+    # out of every other import of this module.
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,7 @@ class _CuttingPlaneLP:
         self.rows, self.r_fac = np.linalg.qr(v_start)
 
     def _to_working(self, mat: np.ndarray) -> np.ndarray:
-        return solve_triangular(self.r_fac.T, mat.T, lower=True).T
+        return np.linalg.solve(self.r_fac.T, mat.T).T
 
     def solve(self, x0: float, k: int) -> ExtremalResult:
         """sup |P^(k)(x0)| subject to |P| <= 1 on the set, certified exactly.
@@ -287,7 +296,7 @@ class _CuttingPlaneLP:
                 raise ResourceLimitError("LP iteration limit reached")
             if lp.status != "optimal":
                 raise NumericFailureError(f"LP ended with status {lp.status!r}")
-            coeff = solve_triangular(self.r_fac, lp.solution)
+            coeff = np.linalg.solve(self.r_fac, lp.solution)
             points, values = _abs_extrema(basis, coeff, self.bands)
             certified = float(np.max(values))
             if certified <= 1.0 + tol.cert_slack:
@@ -495,7 +504,7 @@ def l2_ratio_numeric(
     # conditioning; sqrt(lambda_max) is then the top singular value of the
     # A-factor expressed in the B-orthonormal coordinates.
     r = np.linalg.qr(b_fac, mode="r")
-    x = solve_triangular(r.T, a_fac.T, lower=True).T
+    x = np.linalg.solve(r.T, a_fac.T).T
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 

@@ -10,6 +10,13 @@ handful of primitives in this module.  Conventions:
   * `simplex_solve` maximizes c.x subject to A x <= b with free variables and
     returns a basic (vertex) optimum, which is what equioscillation extraction
     relies on.
+
+scipy is imported where it is used, never at module level: `simplex_solve`
+(HiGHS through `linprog`), `bessel_j` and `bessel_smallest_zero` (`jv`),
+`symmetric_eig_max` (the generalized `eigh`) and `gauss_legendre`
+(`roots_legendre`).  Everything the closed-form route calls (Gauss-Chebyshev,
+Golub-Welsch, the bracketed root finder) runs on numpy alone, so a process
+that only builds densities never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as _sla
-from scipy import optimize as _opt
-from scipy import special as _spec
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
@@ -50,8 +54,6 @@ class QuadratureRule:
             raise InvalidArgumentError("quadrature nodes must be strictly increasing")
         if not np.all(weights > 0):
             raise InvalidArgumentError("quadrature weights must be positive")
-        if self.kind == "gauss-legendre" and abs(weights.sum() - 2.0) > DEFAULT_TOL.gl_weight_sum:
-            raise NumericFailureError("Gauss-Legendre weights do not sum to 2")
 
     @property
     def size(self) -> int:
@@ -90,27 +92,43 @@ def gauss_legendre(n: int, *, tol: Tolerances = DEFAULT_TOL) -> QuadratureRule:
     """Classical n-point Gauss-Legendre rule on [-1,1]."""
     if not isinstance(n, (int, np.integer)) or n < 1 or n > tol.gl_max_points:
         raise InvalidArgumentError(f"gauss_legendre size must be in [1, {tol.gl_max_points}]")
-    return _gauss_legendre_rule(int(n))
+    rule = _gauss_legendre_rule(int(n))
+    # checked per call, not in the cache, so that each caller's tol applies
+    if abs(rule.weights.sum() - 2.0) > tol.gl_weight_sum:
+        raise NumericFailureError(
+            f"Gauss-Legendre weights do not sum to 2 within {tol.gl_weight_sum:.1e}"
+        )
+    return rule
+
+
+def _read_only_rule(nodes: np.ndarray, weights: np.ndarray, kind: str) -> QuadratureRule:
+    # Cached rules are shared by every caller, hence read-only.
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes, weights, kind)
 
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre_rule(n: int) -> QuadratureRule:
-    # Doubling quadratures ask for the same few sizes over and over; the
-    # cached arrays are shared by every caller, hence read-only.
-    nodes, weights = _spec.roots_legendre(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes, weights, "gauss-legendre")
+    from scipy.special import roots_legendre
+
+    nodes, weights = roots_legendre(n)
+    return _read_only_rule(nodes, weights, "gauss-legendre")
 
 
 def gauss_chebyshev(n: int) -> QuadratureRule:
     """n-point rule for the weight 1/sqrt(1-x^2) on [-1,1]: w_i = pi/n."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError("gauss_chebyshev size must be >= 1")
-    k = np.arange(n, 0, -1)
-    nodes = np.cos((2 * k - 1) * np.pi / (2 * n))
-    weights = np.full(n, np.pi / n)
-    return QuadratureRule(nodes, weights, "gauss-chebyshev")
+    return _gauss_chebyshev_rule(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_chebyshev_rule(n: int) -> QuadratureRule:
+    # cos((2j-1) pi/(2n)) written as a sine of an odd argument, so the nodes
+    # are exactly antisymmetric in floating point
+    nodes = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / n)
+    return _read_only_rule(nodes, np.full(n, np.pi / n), "gauss-chebyshev")
 
 
 def legendre_recurrence(n: int) -> Recurrence:
@@ -177,10 +195,10 @@ def golub_welsch(recurrence: Recurrence, n: int) -> QuadratureRule:
         raise InvalidArgumentError("recurrence does not define a positive measure")
     if n == 1:
         return QuadratureRule(a[:1].copy(), b[:1].copy(), "golub-welsch-custom")
-    vals, vecs = _sla.eigh_tridiagonal(a, np.sqrt(b[1:]))
-    weights = b[0] * vecs[0, :] ** 2
-    order = np.argsort(vals)
-    return QuadratureRule(vals[order], weights[order], "golub-welsch-custom")
+    off = np.sqrt(b[1:])
+    jacobi = np.diag(a) + np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(jacobi)
+    return QuadratureRule(vals, b[0] * vecs[0, :] ** 2, "golub-welsch-custom")
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -189,7 +207,9 @@ def bessel_j(order: float, x: float) -> float:
         raise InvalidArgumentError("Bessel order must exceed -1")
     if not 0.0 < x <= 100.0:
         raise InvalidArgumentError("bessel_j argument must be in (0, 100]")
-    return float(_spec.jv(order, x))
+    from scipy.special import jv
+
+    return float(jv(order, x))
 
 
 @dataclass(frozen=True)
@@ -197,14 +217,15 @@ class BesselZero:
     order: float
     zero: float
     residual: float
+    bessel_residual: float = DEFAULT_TOL.bessel_residual
 
     def __post_init__(self):
         if not self.zero > 0:
             raise NumericFailureError("Bessel zero must be positive")
-        if not self.residual < DEFAULT_TOL.bessel_residual:
+        if not self.residual < self.bessel_residual:
             raise NumericFailureError(
                 f"Bessel zero residual {self.residual:.3e} exceeds "
-                f"{DEFAULT_TOL.bessel_residual:.1e}"
+                f"{self.bessel_residual:.1e}"
             )
 
 
@@ -217,18 +238,20 @@ def bessel_smallest_zero(kappa: float, *, tol: Tolerances = DEFAULT_TOL) -> Bess
     """
     if not kappa > -1.0:
         raise InvalidArgumentError("kappa must exceed -1")
+    from scipy.special import jv
+
     order = 0.5 * (kappa - 1.0)
     # 1e-6 stands in for 0+; the zero collapses toward 0 only as kappa -> -1.
     grid = np.concatenate(([1e-6], np.arange(tol.bessel_scan_step, tol.bessel_scan_max + 1e-9, tol.bessel_scan_step)))
     prev_x = grid[0]
-    prev_f = _spec.jv(order, prev_x)
+    prev_f = jv(order, prev_x)
     for x in grid[1:]:
-        f = _spec.jv(order, x)
+        f = jv(order, x)
         if f == 0.0:
-            return BesselZero(order, float(x), 0.0)
+            return BesselZero(order, float(x), 0.0, tol.bessel_residual)
         if prev_f * f < 0:
-            root = _opt.brentq(lambda t: _spec.jv(order, t), prev_x, x, xtol=1e-14)
-            return BesselZero(order, float(root), abs(float(_spec.jv(order, root))))
+            root = find_root_bracketed(lambda t: float(jv(order, t)), prev_x, x, tol=tol)
+            return BesselZero(order, root, abs(float(jv(order, root))), tol.bessel_residual)
         prev_x, prev_f = x, f
     raise NumericFailureError(
         f"no sign change of J_{order} found in (0, {tol.bessel_scan_max}]"
@@ -268,7 +291,9 @@ def simplex_solve(
         raise InvalidArgumentError(
             f"LP limited to {tol.lp_max_constraints} constraints x {tol.lp_max_variables} variables"
         )
-    res = _opt.linprog(
+    from scipy.optimize import linprog
+
+    res = linprog(
         -c,
         A_ub=a,
         b_ub=b,
@@ -340,8 +365,17 @@ def symmetric_eig_max(a: np.ndarray, b: np.ndarray, *, tol: Tolerances = DEFAULT
         np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise InvalidArgumentError("B is not positive definite") from exc
-    vals = _sla.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), eigvals_only=True)
+    from scipy.linalg import eigh
+
+    vals = eigh(0.5 * (a + a.T), 0.5 * (b + b.T), eigvals_only=True)
     return float(vals[-1])
+
+
+_EPS = float(np.finfo(float).eps)
+# Bisection needs at most about 60 halvings to shrink a bracket to root_abs
+# (or to 4 eps |x| for large |x|); where interpolation stalls, as at a
+# multiple root, Brent's method spends about three steps per halving.
+_ROOT_MAX_STEPS = 300
 
 
 def find_root_bracketed(
@@ -351,15 +385,59 @@ def find_root_bracketed(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
-    """Root of f in [lo, hi] given a sign change, to absolute tolerance 1e-13."""
+    """Root of f in [lo, hi] given a sign change, to absolute tolerance tol.root_abs.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps while they shrink the bracket
+    fast enough, bisection otherwise.  Every iterate stays inside the current
+    bracket, and the bracket shrinks to 2 * (2 eps |x| + root_abs / 2).
+    """
     if not lo < hi:
         raise InvalidArgumentError("need lo < hi")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0:
+    a, b = float(lo), float(hi)
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
         raise InvalidArgumentError("no sign change on the bracket")
-    return float(_opt.brentq(f, lo, hi, xtol=tol.root_abs))
+    # b is the best estimate, c the other end of the bracket [b, c] (either
+    # order), a the previous b; d is the last step and e the one before it
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_ROOT_MAX_STEPS):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        step_min = 2.0 * _EPS * abs(b) + 0.5 * tol.root_abs
+        half = 0.5 * (c - b)
+        if abs(half) <= step_min or fb == 0.0:
+            return b
+        if abs(e) >= step_min and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s                     # secant
+            else:
+                q, r = fa / fc, fb / fc                            # inverse quadratic
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            # accept the step only if it lands well inside the bracket and
+            # shrinks faster than the step before last
+            if 2.0 * p < min(3.0 * half * q - abs(step_min * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = half
+        else:
+            e = d = half
+        a, fa = b, fb
+        b += d if abs(d) > step_min else math.copysign(step_min, half)
+        fb = f(b)
+    raise NumericFailureError(f"root finder did not converge in {_ROOT_MAX_STEPS} steps")

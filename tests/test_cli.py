@@ -6,10 +6,15 @@ codes and the exact bytes a shell user would.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqmarkov
 from eqmarkov.cli import main
 from eqmarkov.factors import va_markov_exact
 
@@ -293,15 +298,6 @@ class TestPlumbing:
         assert out == ""
         assert target.read_text().splitlines()[3] == "t,omega"
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQM_THREADS", "4")
-        code, out, _ = run(capsys, "factors", "--set", UNIT)
-        assert code == 0
-        monkeypatch.setenv("EQM_THREADS", "many")
-        code, _, err = run(capsys, "factors", "--set", UNIT)
-        assert code == 2
-        assert "EQM_THREADS" in err
-
     def test_bad_sweep(self, capsys):
         code, _, err = run(capsys, "l2", "--set", UNIT, "--sweep", "5-10")
         assert code == 2
@@ -310,3 +306,47 @@ class TestPlumbing:
     def test_bad_beta(self, capsys):
         code, _, err = run(capsys, "factors", "--beta", "4.0", "--point", "0")
         assert code == 2
+
+
+# Runs CLI subcommands in one fresh interpreter and reports which scipy
+# modules each has loaded by the time it returns.
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+from eqmarkov.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_loaded_after(*argvs) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(eqmarkov.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    """The closed-form route runs on numpy alone; scipy loads only where the
+    LP, the Bessel functions, the generalized eigensolver or Gauss-Legendre
+    nodes need it."""
+
+    def test_closed_form_subcommands_never_load_scipy(self):
+        loaded = _scipy_loaded_after(
+            ["eqdensity", "--set", TWO, "--grid", "16"],
+            ["verify", "--set", UNIT, "--trials", "5", "--seed", "0"],
+            ["l2", "--set", UNIT, "--n", "6"],
+        )
+        assert loaded == {"eqdensity": [], "verify": [], "l2": []}
+
+    def test_factors_loads_special_but_not_optimize(self):
+        loaded = _scipy_loaded_after(["factors", "--set", UNIT])["factors"]
+        assert "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded

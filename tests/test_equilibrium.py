@@ -2,7 +2,9 @@
 
 Oracles used here and nowhere in the library:
   * QUADPACK (scipy.integrate.quad) with an explicit substitution for masses
-    and gap conditions, against the library's Gauss-Legendre doubling;
+    and gap conditions, against the library's Gauss-Chebyshev doubling;
+  * mpmath at 30 digits (tanh-sinh quadrature of the gap conditions and
+    findroot on xi directly, with no moment system) for the gap points;
   * the square-map identity for symmetric two-interval sets, which gives the
     density without any gap-point computation;
   * known potential constants: log 2 on [-1, 1] and -log sin(beta/2) on the
@@ -11,6 +13,7 @@ Oracles used here and nowhere in the library:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -96,6 +99,49 @@ class TestGapPoints:
         xi = solve_xi(e)
         assert len(xi) == 2
         assert -0.6 < xi[0] < -0.2 and 0.1 < xi[1] < 0.4
+
+
+def mpmath_gap_points(endpoints, dps: int = 30) -> list:
+    """xi solved from the gap conditions themselves: for every gap,
+    int_gap prod_i (u - xi_i) / sqrt(prod_k |u - a_k|) du = 0, integrated by
+    tanh-sinh (which absorbs the gap-end singularities) and solved for all xi
+    at once by findroot from the gap midpoints."""
+    with mpmath.workdps(dps):
+        ends = [mpmath.mpf(a) for a in endpoints]
+        gaps = [(ends[2 * j + 1], ends[2 * j + 2]) for j in range(len(ends) // 2 - 1)]
+
+        def condition(j, xi):
+            def integrand(u):
+                num = mpmath.fprod(u - x for x in xi)
+                return num / mpmath.sqrt(mpmath.fprod(abs(u - a) for a in ends))
+
+            return mpmath.quad(integrand, list(gaps[j]), method="tanh-sinh")
+
+        if len(gaps) == 1:
+            roots = [mpmath.findroot(lambda x: condition(0, [x]), gaps[0], solver="anderson")]
+        else:
+            conditions = [lambda *xi, j=j: condition(j, xi) for j in range(len(gaps))]
+            roots = list(mpmath.findroot(conditions, [(lo + hi) / 2 for lo, hi in gaps]))
+        for (lo, hi), x in zip(gaps, roots):
+            assert lo < x < hi
+        return [float(x) for x in roots]
+
+
+class TestGapPointsMpmathOracle:
+    @pytest.mark.parametrize(
+        "endpoints",
+        [
+            (-1.0, -0.3, 0.2, 1.0),
+            (-1.0, -0.55, -0.2, 0.15, 0.5, 1.0),
+            (-1.0, -0.4, -0.399, 0.25, 0.3, 1.0),       # a gap of 1e-3
+        ],
+    )
+    def test_xi_matches_30_digit_oracle(self, endpoints):
+        got = solve_xi(IntervalUnion(endpoints))
+        want = mpmath_gap_points(endpoints)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-12
 
 
 class TestIntervalDensity:

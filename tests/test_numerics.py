@@ -5,7 +5,9 @@ Independent oracles used here:
   * QUADPACK adaptive endpoint-weighted quadrature for the Jacobi rule;
   * an ascending power series for J_nu (written here, never scipy) plus
     bisection, as the reference for Bessel values and the smallest J_0 zero;
-  * sign-change bisection on det(A - t B) for the eigenpencil.
+  * sign-change bisection on det(A - t B) for the eigenpencil;
+  * scipy's brentq and jv for the bracketed root finder (imported here only;
+    the library's closed-form route does not load scipy).
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import jv
 
+from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.errors import InvalidArgumentError, NumericFailureError
 from eqmarkov.numerics import (
     BesselZero,
@@ -71,6 +76,21 @@ class TestGaussLegendre:
             gauss_legendre(0)
         with pytest.raises(InvalidArgumentError):
             gauss_legendre(10001)
+
+
+class TestGaussChebyshev:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 4096])
+    def test_classical_nodes_exactly_antisymmetric(self, n):
+        rule = gauss_chebyshev(n)
+        k = np.arange(n, 0, -1)
+        assert rule.nodes == pytest.approx(np.cos((2 * k - 1) * np.pi / (2 * n)), abs=1e-15)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.all(rule.weights == np.pi / n)
+
+    def test_cached_read_only(self):
+        rule = gauss_chebyshev(128)
+        assert gauss_chebyshev(128) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
 class TestGolubWelsch:
@@ -254,6 +274,10 @@ class TestEigMax:
             symmetric_eig_max(np.eye(2), np.diag([1.0, -1.0]))
 
 
+def gap_cubic(u: float) -> float:
+    return float(np.polynomial.polynomial.polyval(u, [0.0261, -0.1075, -0.51, 1.0]))
+
+
 class TestRootFinding:
     def test_sqrt_two(self):
         assert find_root_bracketed(lambda x: x * x - 2, 1, 2) == pytest.approx(
@@ -266,6 +290,63 @@ class TestRootFinding:
     def test_requires_sign_change(self):
         with pytest.raises(InvalidArgumentError):
             find_root_bracketed(lambda x: x * x + 1, -1, 1)
+
+    # (function, lo, hi): simple roots, including a monic cubic of the kind
+    # solve_xi factors (one root in each of three gaps) and J_nu at its
+    # first zero
+    CASES = {
+        "gap-cubic-1": (gap_cubic, -0.5, 0.0),
+        "gap-cubic-2": (gap_cubic, 0.05, 0.4),
+        "gap-cubic-3": (gap_cubic, 0.5, 1.0),
+        "j0": (lambda x: float(jv(0.0, x)), 2.3, 2.5),
+        "j-0.4": (lambda x: float(jv(-0.4, x)), 1.0, 2.2),
+        "j2.5": (lambda x: float(jv(2.5, x)), 4.0, 6.5),
+        "wallis": (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+        "kepler": (lambda x: x - 0.9 * math.sin(x) - 1.0, 0.0, 3.0),
+        "steep": (lambda x: math.exp(20 * x) - 2.0, -1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_brentq(self, case):
+        f, lo, hi = self.CASES[case]
+        assert f(lo) * f(hi) < 0
+        ref = brentq(f, lo, hi, xtol=DEFAULT_TOL.root_abs)
+        assert abs(find_root_bracketed(f, lo, hi) - ref) <= DEFAULT_TOL.root_abs
+
+    def test_evaluation_budget(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x)
+
+        find_root_bracketed(f, 1.0, 2.0)
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("power", [3, 9, 15])
+    def test_stays_inside_bracket_when_interpolation_stalls(self, power):
+        # At a root of odd multiplicity the secant and inverse quadratic steps
+        # crawl; every iterate must still fall inside the sign-change bracket
+        # of the points evaluated before it.
+        root = 1.0 / 3.0
+        lo, hi = 0.0, 1.0
+        calls = []
+
+        def f(x):
+            nonlocal lo, hi
+            assert lo <= x <= hi
+            calls.append(x)
+            value = (x - root) ** power
+            if value < 0:
+                lo = max(lo, x)
+            elif value > 0:
+                hi = min(hi, x)
+            return value
+
+        found = find_root_bracketed(f, 0.0, 1.0)
+        assert abs(found - root) <= DEFAULT_TOL.root_abs
+        # bisection's halvings, at most four evaluations each
+        assert len(calls) <= 4 * math.ceil(math.log2(1.0 / DEFAULT_TOL.root_abs))
 
 
 class TestValidation:
@@ -280,6 +361,18 @@ class TestValidation:
     def test_bessel_zero_residual_enforced(self):
         with pytest.raises(NumericFailureError):
             BesselZero(order=0.0, zero=1.0, residual=1e-6)
+
+    def test_tight_bessel_residual_enforced(self):
+        z = bessel_smallest_zero(1.0)
+        assert z.residual > 0.0
+        with pytest.raises(NumericFailureError, match="residual"):
+            bessel_smallest_zero(1.0, tol=Tolerances(bessel_residual=z.residual))
+
+    def test_tight_weight_sum_enforced_past_the_cache(self):
+        # the rule is cached by size; the caller's tol must still be applied
+        n = next(n for n in range(2, 200) if gauss_legendre(n).weights.sum() != 2.0)
+        with pytest.raises(NumericFailureError, match="sum to 2"):
+            gauss_legendre(n, tol=Tolerances(gl_weight_sum=0.0))
 
     def test_lp_result_status_enforced(self):
         with pytest.raises(InvalidArgumentError):
