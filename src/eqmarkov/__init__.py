@@ -20,7 +20,6 @@ from .errors import (
     InvalidArgumentError,
     NumericFailureError,
     ResourceLimitError,
-    VerificationViolation,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "InvalidArgumentError",
     "NumericFailureError",
     "ResourceLimitError",
-    "VerificationViolation",
 ]
 
 __version__ = "0.1.0"

@@ -165,16 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = None
-
-
-def _known_keys() -> set:
-    global _CONFIG_KEYS
-    if _CONFIG_KEYS is None:
-        _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
-        _CONFIG_KEYS.add("set")
-        _CONFIG_KEYS.add("format")
-    return _CONFIG_KEYS
+_CONFIG_KEYS = frozenset({f.name for f in fields(RunConfig)} - {"command"} | {"set", "format"})
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -190,7 +181,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_conf, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
         for key, value in file_conf.items():
-            if key not in _known_keys():
+            if key not in _CONFIG_KEYS:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
             merged[{"set": "set_spec", "format": "fmt"}.get(key, key)] = value
     for f in fields(RunConfig):

@@ -33,7 +33,6 @@ class Tolerances:
 
     # scalar root finding / eigenvalues
     root_abs: float = 1e-13
-    eig_rel: float = 1e-10
     eig_max_dim: int = 200
 
     # equilibrium measure
@@ -59,7 +58,6 @@ class Tolerances:
 
     # verification
     verify_hard: float = 1e-9            # slack on inequalities that hold for every n
-    sharpness_floor: float = 0.85        # LP/bound ratio demanded at the largest tested degree
     asymptotic_slack: float = 0.02       # LP may exceed an asymptotic bound by at most this
     verify_default_trials: int = 200
     verify_max_degree: int = 15

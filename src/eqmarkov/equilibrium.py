@@ -23,6 +23,10 @@ where zeta is the exterior inverse Joukowski image of sigma.  On the line the
 kernel is exactly log(half * |sigma - s|), so potentials are closed-form; on
 the circle the kernel log|e^{i a} - e^{i b}| = log|a - b| + log|sinc((a-b)/2)|
 leaves an analytic correction that plain Gauss-Chebyshev quadrature handles.
+One kernel, `_potential_rows`, turns a band's coefficients into its potential
+at any set of points; the Frostman certificate and the collocation solve both
+use it, so the equation the oracle solves is the one every density is checked
+against.
 
 Certificates. Every constructed density is checked two ways: total mass 1 (by
 independent cosine-substitution quadrature) and constancy of the log potential
@@ -33,7 +37,7 @@ check is not returned; the builders raise instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,20 +110,20 @@ def _sqrt_weight_integral(
     raise NumericFailureError("singular band quadrature did not converge")
 
 
-def _cheb_log_integrals(sigma: float, pmax: int) -> np.ndarray:
-    """I_p = int T_p(s) log|sigma - s| / sqrt(1-s^2) ds for p = 0..pmax."""
-    out = np.empty(pmax + 1)
+def _cheb_log_integrals(sigma: np.ndarray, pmax: int) -> np.ndarray:
+    """Rows I_p = int T_p(s) log|sigma - s| / sqrt(1-s^2) ds, p = 0..pmax,
+    one row per entry of sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    out = np.empty((sigma.size, pmax + 1))
     p = np.arange(1, pmax + 1, dtype=float)
-    if abs(sigma) <= 1.0:
-        out[0] = -math.pi * math.log(2.0)
-        if pmax >= 1:
-            theta = math.acos(min(1.0, max(-1.0, sigma)))
-            out[1:] = -math.pi * np.cos(p * theta) / p
-    else:
-        zeta = math.copysign(abs(sigma) + math.sqrt(sigma * sigma - 1.0), sigma)
-        out[0] = math.pi * math.log(0.5 * abs(zeta))
-        if pmax >= 1:
-            out[1:] = -math.pi * (1.0 / zeta) ** p / p
+    inside = np.abs(sigma) <= 1.0
+    theta = np.arccos(np.clip(sigma[inside], -1.0, 1.0))
+    out[inside, 0] = -math.pi * math.log(2.0)
+    out[inside, 1:] = -math.pi * np.cos(np.outer(theta, p)) / p
+    s_out = sigma[~inside]
+    zeta = np.copysign(np.abs(s_out) + np.sqrt(s_out * s_out - 1.0), s_out)
+    out[~inside, 0] = math.pi * np.log(0.5 * np.abs(zeta))
+    out[~inside, 1:] = -math.pi * (1.0 / zeta[:, None]) ** p / p
     return out
 
 
@@ -352,35 +356,30 @@ def omega_limit_extrapolated(
     Distance is |t - a_j| on the line and chordal |z - A_j| on the circle.
     """
     if d.geometry == "line":
-        e: IntervalUnion = d.set
-        band, side = e.endpoint_band(j)
-        lo, hi = e.bands[band]
-        a = e.endpoints[j - 1]
-        length = hi - lo
-        dists = np.asarray(tol.extrapolation_chords)
-        if dists[0] >= 0.25 * length:
-            dists = dists * (0.25 * length / dists[0])
-        fvals = []
-        for dist in dists:
-            t = a + dist if side == "left" else a - dist
-            fvals.append(math.sqrt(dist) * d.evaluate(t))
+        band, side = d.set.endpoint_band(j)
+        lo, hi = d.set.bands[band]
+        a = d.set.endpoints[j - 1]
+
+        def offset(dist):
+            return dist
     elif d.geometry == "circle":
-        arcs: ArcUnion = d.set
-        band, side = arcs.endpoint_arc(j)
-        lo, hi = arcs.arcs[band]
-        alpha = arcs.angles[j - 1]
-        length = hi - lo
-        dists = np.asarray(tol.extrapolation_chords)
-        # chord d corresponds to angular offset 2 asin(d/2)
-        if 2.0 * math.asin(0.5 * dists[0]) >= 0.25 * length:
-            dists = dists * (0.25 * length / (2.0 * math.asin(0.5 * dists[0])))
-        fvals = []
-        for dist in dists:
-            off = 2.0 * math.asin(0.5 * dist)
-            theta = alpha + off if side == "left" else alpha - off
-            fvals.append(math.sqrt(dist) * d.evaluate(theta))
+        band, side = d.set.endpoint_arc(j)
+        lo, hi = d.set.arcs[band]
+        a = d.set.angles[j - 1]
+
+        def offset(dist):
+            # chord d corresponds to angular offset 2 asin(d/2)
+            return 2.0 * math.asin(0.5 * dist)
     else:
         raise InvalidArgumentError("endpoint limits need a line or circle density")
+    length = hi - lo
+    dists = np.asarray(tol.extrapolation_chords)
+    if offset(dists[0]) >= 0.25 * length:
+        dists = dists * (0.25 * length / offset(dists[0]))
+    fvals = []
+    for dist in dists:
+        t = a + offset(dist) if side == "left" else a - offset(dist)
+        fvals.append(math.sqrt(dist) * d.evaluate(t))
     value, err = _neville_richardson(fvals, 10.0)
     if not err < tol.omega_extrapolation:
         raise NumericFailureError(
@@ -435,69 +434,79 @@ def _band_mass(bands: tuple[_Band, ...], band_geometry: tuple, tol: Tolerances) 
     return total
 
 
-def _potential_line(bands: tuple[_Band, ...], x: float) -> float:
-    u = 0.0
-    for b in bands:
-        sigma = (x - b.center) / b.half
-        integrals = _cheb_log_integrals(sigma, b.coeffs.size - 1)
-        u -= b.half * (
-            math.log(b.half) * math.pi * b.coeffs[0] + float(integrals @ b.coeffs)
-        )
-    return u
-
-
 _ARC_QUAD_POINTS = 256
 
 
-def _potential_circle(bands: tuple[_Band, ...], theta: float) -> float:
-    rule = gauss_chebyshev(_ARC_QUAD_POINTS)
-    s_nodes = rule.nodes
-    wq = math.pi / _ARC_QUAD_POINTS
-    u = 0.0
-    for b in bands:
-        sigma = (theta - b.center) / b.half
-        g_nodes = _cheb.chebval(s_nodes, b.coeffs)
-        delta = theta - (b.center + b.half * s_nodes)
-        if abs(sigma) <= 1.0 + 1e-12:
-            integrals = _cheb_log_integrals(sigma, b.coeffs.size - 1)
-            main = math.log(b.half) * math.pi * b.coeffs[0] + float(integrals @ b.coeffs)
-            corr = wq * float(np.sum(g_nodes * np.log(np.abs(np.sinc(delta / (2.0 * math.pi))))))
-            u -= b.half * (main + corr)
-        else:
-            kern = np.log(2.0 * np.abs(np.sin(0.5 * delta)))
-            u -= b.half * wq * float(np.sum(g_nodes * kern))
-    return u
+def _potential_rows(lo: float, hi: float, deg: int, points: np.ndarray, circle: bool) -> np.ndarray:
+    """Matrix L, one row per point, such that L @ coeffs is the log potential
+    at `points` of the band [lo, hi] carrying G(s)/sqrt(1-s^2) with
+    G = sum_p coeffs[p] T_p (p = 0..deg).
+
+    On the line the kernel is log(half |sigma - s|), all in closed form.  On
+    the circle, points on the band (|sigma| <= 1) add the analytic correction
+    log|sinc| by Gauss-Chebyshev quadrature; points off the band integrate
+    the chordal kernel log(2|sin(delta/2)|) by the same rule.
+    """
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    sigma = (points - center) / half
+    rows = np.zeros((points.size, deg + 1))
+    near = np.abs(sigma) <= 1.0 + 1e-12 if circle else np.ones(points.size, dtype=bool)
+    rows[near] = _cheb_log_integrals(sigma[near], deg)
+    rows[near, 0] += math.pi * math.log(half)
+    if circle:
+        rule = gauss_chebyshev(_ARC_QUAD_POINTS)
+        tmat = _cheb.chebvander(rule.nodes, deg) * (math.pi / _ARC_QUAD_POINTS)
+        nodes = center + half * rule.nodes
+        delta = points[near, None] - nodes
+        rows[near] += np.log(np.abs(np.sinc(delta / (2.0 * math.pi)))) @ tmat
+        delta = points[~near, None] - nodes
+        rows[~near] = np.log(2.0 * np.abs(np.sin(0.5 * delta))) @ tmat
+    return -half * rows
 
 
 def frostman_profile(
-    d: EquilibriumDensity, probes: int = DEFAULT_TOL.frostman_probes_per_band, tol: Tolerances = DEFAULT_TOL
+    d: EquilibriumDensity, probes: int | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log potential U(x) = int log(1/|x-t|) dmu(t) on interior probe points."""
+    """Log potential U(x) = int log(1/|x-t|) dmu(t) on interior probe points,
+    `probes` per band (default tol.frostman_probes_per_band)."""
+    if probes is None:
+        probes = tol.frostman_probes_per_band
     if probes < 3:
         raise InvalidArgumentError("need at least 3 probes per band")
     if d.geometry == "line":
-        geometry = d.set.bands
-        potential = _potential_line
+        spans = d.set.bands
     elif d.geometry == "circle":
-        geometry = d.set.arcs
-        potential = _potential_circle
+        spans = d.set.arcs
     else:
         raise InvalidArgumentError("Frostman probing needs a line or circle density")
     points = []
-    for lo, hi in geometry:
+    for lo, hi in spans:
         buf = tol.frostman_buffer_rel * (hi - lo)
         points.append(np.linspace(lo + buf, hi - buf, probes))
     points = np.concatenate(points)
-    values = np.array([potential(d.bands, float(p)) for p in points])
+    circle = d.geometry == "circle"
+    values = sum(
+        _potential_rows(lo, hi, b.coeffs.size - 1, points, circle) @ b.coeffs
+        for b, (lo, hi) in zip(d.bands, spans)
+    )
     return points, values
 
 
 def frostman_check(
-    d: EquilibriumDensity, probes: int = DEFAULT_TOL.frostman_probes_per_band, tol: Tolerances = DEFAULT_TOL
+    d: EquilibriumDensity, probes: int | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Max - min of the log potential over probe points (ideally 0)."""
     _, values = frostman_profile(d, probes, tol)
     return float(np.max(values) - np.min(values))
+
+
+def _certified(d: EquilibriumDensity, tol: Tolerances, validate: bool) -> EquilibriumDensity:
+    """d with its Frostman spread filled in; with validate, also enforced
+    together with the mass certificate."""
+    d = replace(d, frostman_spread=frostman_check(d, tol=tol))
+    if validate:
+        _validate_density(d, tol)
+    return d
 
 
 def interval_density(
@@ -525,18 +534,11 @@ def interval_density(
     def evaluate(t: float) -> float:
         return density_intervals(e, xi, t)
 
-    mass = _band_mass(bands, e.bands, tol)
-    density = EquilibriumDensity(
-        set=e, geometry="line", xi=tuple(xi), mass=mass,
+    density = _certified(EquilibriumDensity(
+        set=e, geometry="line", xi=tuple(xi), mass=_band_mass(bands, e.bands, tol),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
-    )
-    spread = frostman_check(density, tol=tol)
-    density = EquilibriumDensity(
-        set=e, geometry="line", xi=tuple(xi), mass=mass,
-        frostman_spread=spread, method="closed-form", bands=bands, _eval=evaluate,
-    )
+    ), tol, validate)
     if validate:
-        _validate_density(density, tol)
         for (glo, ghi), x0 in zip(e.gaps, xi):
             if not glo < x0 < ghi:
                 raise NumericFailureError("a gap point lies outside its gap")
@@ -573,18 +575,10 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         t = wrap_angle(theta - center)
         return density_arc(beta, t)
 
-    mass = _band_mass(bands, a.arcs, tol)
-    density = EquilibriumDensity(
-        set=a, geometry="circle", xi=(), mass=mass,
+    return _certified(EquilibriumDensity(
+        set=a, geometry="circle", xi=(), mass=_band_mass(bands, a.arcs, tol),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
-    )
-    spread = frostman_check(density, tol=tol)
-    density = EquilibriumDensity(
-        set=a, geometry="circle", xi=(), mass=mass,
-        frostman_spread=spread, method="closed-form", bands=bands, _eval=evaluate,
-    )
-    _validate_density(density, tol)
-    return density
+    ), tol, True)
 
 
 def circle_density(c: Circle) -> EquilibriumDensity:
@@ -673,67 +667,29 @@ def collocation_density(
                 return float(_cheb.chebval(sig, b.coeffs) / math.sqrt(1.0 - sig * sig))
         raise DomainError("density evaluation needs an interior point")
 
-    mass = _band_mass(bands, band_spans, tol)
-    density = EquilibriumDensity(
-        set=s, geometry=geometry, xi=(), mass=mass,
+    return _certified(EquilibriumDensity(
+        set=s, geometry=geometry, xi=(), mass=_band_mass(bands, band_spans, tol),
         frostman_spread=math.nan, method="collocation", bands=bands, _eval=evaluate,
-    )
-    spread = frostman_check(density, tol=tol)
-    density = EquilibriumDensity(
-        set=s, geometry=geometry, xi=(), mass=mass,
-        frostman_spread=spread, method="collocation", bands=bands, _eval=evaluate,
-    )
-    _validate_density(density, tol)
-    return density
+    ), tol, True)
 
 
 def _collocation_system(band_spans, geometry: str, deg: int):
     per = deg + 1
-    nbands = len(band_spans)
-    size = nbands * per + 1
-    matrix = np.zeros((size, size))
-    rhs = np.zeros(size)
-
-    centers = [0.5 * (lo + hi) for lo, hi in band_spans]
-    halves = [0.5 * (hi - lo) for lo, hi in band_spans]
+    size = len(band_spans) * per + 1
+    halves = np.array([0.5 * (hi - lo) for lo, hi in band_spans])
     # first-kind Chebyshev collocation points per band (strictly interior)
     q = np.arange(per)
     s_colloc = np.cos((2 * q + 1) * np.pi / (2.0 * per))
+    points = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * s_colloc for lo, hi in band_spans])
 
-    if geometry == "circle":
-        rule = gauss_chebyshev(_ARC_QUAD_POINTS)
-        s_nodes = rule.nodes
-        wq = math.pi / _ARC_QUAD_POINTS
-        tmat = _cheb.chebvander(s_nodes, deg)          # (M, per)
-
-    row = 0
-    for kq in range(nbands):
-        points = centers[kq] + halves[kq] * s_colloc
-        for x in points:
-            for kc in range(nbands):
-                colbase = kc * per
-                sigma = (x - centers[kc]) / halves[kc]
-                if geometry == "line":
-                    integrals = _cheb_log_integrals(sigma, deg)
-                    contrib = integrals.copy()
-                    contrib[0] += math.log(halves[kc]) * math.pi
-                    matrix[row, colbase : colbase + per] = -halves[kc] * contrib
-                else:
-                    delta = x - (centers[kc] + halves[kc] * s_nodes)
-                    if kc == kq:
-                        integrals = _cheb_log_integrals(sigma, deg)
-                        corr = wq * (tmat.T @ np.log(np.abs(np.sinc(delta / (2.0 * math.pi)))))
-                        contrib = integrals + corr
-                        contrib[0] += math.log(halves[kc]) * math.pi
-                        matrix[row, colbase : colbase + per] = -halves[kc] * contrib
-                    else:
-                        kern = np.log(2.0 * np.abs(np.sin(0.5 * delta)))
-                        matrix[row, colbase : colbase + per] = -halves[kc] * wq * (tmat.T @ kern)
-            matrix[row, -1] = -1.0      # unknown potential constant
-            row += 1
+    matrix = np.zeros((size, size))
+    matrix[:-1, :-1] = np.hstack([
+        _potential_rows(lo, hi, deg, points, geometry == "circle") for lo, hi in band_spans
+    ])
+    matrix[:-1, -1] = -1.0      # unknown potential constant
     # mass row: int G_k/sqrt(1-s^2) * half_k ds = pi * half_k * c_{k,0}
-    for kc in range(nbands):
-        matrix[row, kc * per] = math.pi * halves[kc]
-    rhs[row] = 1.0
+    matrix[-1, :-1:per] = math.pi * halves
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
     cond = float(np.linalg.cond(matrix))
     return matrix, rhs, cond

@@ -7,8 +7,9 @@ Four failure classes, mapped one-to-one onto CLI exit codes:
   NumericFailureError   a solver or certificate did not converge  -> exit 3
   ResourceLimitError    iteration/size limits exceeded            -> exit 4
 
-Verification violations (a claimed-exact inequality fails on a concrete
-polynomial) are reported through VerificationViolation -> exit 5.
+A verification violation (a claimed-exact inequality fails on a concrete
+polynomial) is not an exception: `cmd_verify` reports the witness and returns
+exit code 5.
 """
 
 from __future__ import annotations
@@ -32,7 +33,3 @@ class NumericFailureError(EqmarkovError, ArithmeticError):
 
 class ResourceLimitError(EqmarkovError, RuntimeError):
     pass
-
-
-class VerificationViolation(EqmarkovError, AssertionError):
-    """An inequality that must hold exactly was violated beyond tolerance."""

@@ -12,6 +12,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
+from eqmarkov.config import DEFAULT_TOL
 from eqmarkov.equilibrium import (
     arc_density,
     collocation_density,
@@ -105,8 +106,8 @@ def test_02_two_band_density_cross_checks():
     problems = []
     if abs(residual) >= 1e-11:
         problems.append(f"gap residual {abs(residual):.2e} >= 1e-11")
-    if worst >= 1e-6:
-        problems.append(f"collocation disagreement {worst:.2e} >= 1e-6")
+    if worst >= DEFAULT_TOL.oracle_agreement:
+        problems.append(f"collocation disagreement {worst:.2e} >= {DEFAULT_TOL.oracle_agreement}")
     if d.frostman_spread >= 1e-6:
         problems.append(f"frostman spread {d.frostman_spread:.2e} >= 1e-6")
     if not a2 < xi < a3:

@@ -7,8 +7,9 @@ Oracles used here and nowhere in the library:
     findroot on xi directly, with no moment system) for the gap points;
   * the square-map identity for symmetric two-interval sets, which gives the
     density without any gap-point computation;
-  * known potential constants: log 2 on [-1, 1] and -log sin(beta/2) on the
-    symmetric arc of half-angle beta.
+  * known potential constants: log 2 on [-1, 1], -log sin(beta/2) on the
+    symmetric arc of half-angle beta, and, through the square map, the
+    constants of two-band interval and arc sets.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.equilibrium import (
     EndpointData,
     arc_density,
@@ -203,6 +205,13 @@ class TestIntervalDensity:
         with pytest.raises(InvalidArgumentError):
             frostman_check(d, probes=2)
 
+    def test_probe_count_from_tol(self):
+        with pytest.raises(InvalidArgumentError):
+            interval_density(TWOBAND, Tolerances(frostman_probes_per_band=2))
+        d = interval_density(TWOBAND)
+        points, values = frostman_profile(d, tol=Tolerances(frostman_probes_per_band=5))
+        assert points.shape == values.shape == (5 * TWOBAND.m,)
+
 
 class TestEndpointLimits:
     def test_unit_interval_value(self):
@@ -315,7 +324,7 @@ class TestCollocationOracle:
             buf = 1e-3 * (hi - lo)
             for t in np.linspace(lo + buf, hi - buf, 60):
                 worst = max(worst, abs(dc.evaluate(t) / df.evaluate(t) - 1.0))
-        assert worst < 1e-6
+        assert worst < DEFAULT_TOL.oracle_agreement
         assert dc.xi == ()           # this route never computes gap points
 
     def test_single_arc_against_closed_form(self):
@@ -340,6 +349,27 @@ class TestCollocationOracle:
     def test_angle_wrapping_in_evaluate(self):
         d = collocation_density(ArcUnion((-2.0, -1.0, 1.0, 2.0)))
         assert d.evaluate(1.5) == d.evaluate(1.5 + 2.0 * math.pi)
+
+
+class TestMultiBandPotentials:
+    """Potential constants of two-band sets by the square map z -> z^2: the
+    preimage of a set of capacity c has capacity sqrt(c).  [a^2, 1] has
+    capacity (1 - a^2)/4, and the arc of half-angle beta centred at -1 has
+    capacity sin(beta/2)."""
+
+    def test_split_intervals(self):
+        want = -0.5 * math.log((1.0 - 0.5**2) / 4.0)
+        for d in (interval_density(SPLIT), collocation_density(SPLIT)):
+            _, values = frostman_profile(d)
+            assert float(np.max(np.abs(values - want))) < 1e-12
+
+    def test_arc_pair_about_the_imaginary_axis(self):
+        h = 0.5 * math.pi
+        for beta in (1.0, 2.0):
+            pair = ArcUnion((-h - 0.5 * beta, -h + 0.5 * beta, h - 0.5 * beta, h + 0.5 * beta))
+            _, values = frostman_profile(collocation_density(pair))
+            want = -0.5 * math.log(math.sin(0.5 * beta))
+            assert float(np.max(np.abs(values - want))) < 1e-12
 
 
 class TestScalingAndSymmetry:
