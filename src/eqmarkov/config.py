@@ -53,7 +53,6 @@ class Tolerances:
     refine_max_rounds: int = 60
     cert_slack: float = 1e-6             # certified_norm <= 1 + cert_slack
     objective_recheck: float = 1e-9
-    interior_probes_per_endpoint: int = 10   # 20 per band, geometric clustering
     basis_cond_max: float = 1e10
 
     # verification

@@ -623,8 +623,9 @@ def collocation_density(
     Unknowns are the Chebyshev coefficients of the regular part on every band
     plus the (unknown) constant value of the potential; equations are
     potential constancy at interior Chebyshev collocation points and total
-    mass 1.  Ill-conditioning triggers one degree doubling, then a hard
-    failure.
+    mass 1.  Without an explicit degree, a failure at the default degree
+    (an ill-conditioned matrix or a rejected mass or Frostman certificate)
+    triggers one degree doubling, then a hard failure.
     """
     if isinstance(s, IntervalUnion):
         geometry = "line"
@@ -639,15 +640,20 @@ def collocation_density(
 
     n = degree if degree is not None else tol.collocation_degree
     attempt_degrees = [n] if degree is not None else [n, 2 * n]
-    last_cond = math.inf
     for deg in attempt_degrees:
-        matrix, rhs, cond = _collocation_system(band_spans, geometry, deg)
-        last_cond = cond
-        if cond <= tol.collocation_cond_max:
-            break
-    else:
+        try:
+            return _collocation_at(s, band_spans, geometry, deg, tol)
+        except NumericFailureError:
+            if deg == attempt_degrees[-1]:
+                raise
+
+
+def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> EquilibriumDensity:
+    """The certified collocation density of one degree."""
+    matrix, rhs, cond = _collocation_system(band_spans, geometry, deg)
+    if cond > tol.collocation_cond_max:
         raise NumericFailureError(
-            f"collocation matrix ill-conditioned (estimate {last_cond:.2e}); "
+            f"collocation matrix ill-conditioned (estimate {cond:.2e}); "
             "try larger degree or fewer bands"
         )
     solution = np.linalg.solve(matrix, rhs)

@@ -341,6 +341,23 @@ class TestCollocationOracle:
         for t in np.linspace(1.05, 1.95, 19):
             assert abs(d.evaluate(t) / d.evaluate(-t) - 1.0) < 1e-10
 
+    def test_rejected_certificate_doubles_the_degree(self):
+        # A gap of 1e-3: the default degree leaves a Frostman spread of 9e-6.
+        narrow = IntervalUnion((-1.0, -0.4, -0.399, 0.25, 0.3, 1.0))
+        deg = DEFAULT_TOL.collocation_degree
+        dc = collocation_density(narrow)
+        assert all(b.coeffs.size == 2 * deg + 1 for b in dc.bands)
+        assert dc.frostman_spread <= DEFAULT_TOL.frostman_spread
+        df = interval_density(narrow)
+        worst = 0.0
+        for lo, hi in narrow.bands:
+            buf = 0.1 * (hi - lo)
+            for t in np.linspace(lo + buf, hi - buf, 9):
+                worst = max(worst, abs(dc.evaluate(t) / df.evaluate(t) - 1.0))
+        assert worst < DEFAULT_TOL.oracle_agreement
+        with pytest.raises(NumericFailureError, match="spread"):
+            collocation_density(narrow, degree=deg)      # an explicit degree gets one attempt
+
     def test_band_limit(self):
         pts = tuple(float(v) for v in np.linspace(-1.0, 1.0, 18))
         with pytest.raises(InvalidArgumentError):

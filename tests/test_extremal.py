@@ -50,6 +50,23 @@ from eqmarkov.sets import IntervalUnion, PeriodicSet
 UNIT = IntervalUnion((-1.0, 1.0))
 SPLIT = IntervalUnion((-1.0, -0.5, 0.5, 1.0))
 TWO = IntervalUnion((-1.0, -0.3, 0.2, 1.0))
+THREE = IntervalUnion((-1.0, -0.6, -0.2, 0.3, 0.5, 1.0))
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """One entry per LP the extremal module solves while the test runs."""
+    import eqmarkov.extremal as ex
+
+    calls = []
+    real = ex.simplex_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "simplex_solve", counting)
+    return calls
 
 
 def cheb_deriv_at(n: int, k: int, x: float) -> float:
@@ -283,6 +300,69 @@ class TestMarkovLP:
         assert ratios[1] > 0.8
         assert ratios[1] <= 1.0 + DEFAULT_TOL.asymptotic_slack
 
+    @pytest.mark.parametrize("domain, kind, n, k", [
+        pytest.param(UNIT, "algebraic-chebyshev", 5, 1, id="unit-n5-k1"),
+        pytest.param(UNIT, "algebraic-chebyshev", 5, 2, id="unit-n5-k2"),
+        pytest.param(UNIT, "algebraic-chebyshev", 5, 3, id="unit-n5-k3"),
+        pytest.param(TWO, "algebraic-chebyshev", 4, 1, id="two-n4"),
+        pytest.param(TWO, "algebraic-chebyshev", 8, 1, id="two-n8"),
+        pytest.param(THREE, "algebraic-chebyshev", 6, 1, id="three-n6"),
+        pytest.param(PeriodicSet(IntervalUnion((-2.0, 2.0))), "trigonometric", 4, 1, id="arc2-n4"),
+        pytest.param(PeriodicSet(IntervalUnion((-2.5, 2.5))), "trigonometric", 4, 1, id="arc2.5-n4"),
+    ])
+    def test_no_worse_than_endpoint_ladder(self, domain, kind, n, k):
+        # The candidates of an endpoint-clustered ladder: both ends of every
+        # band and ten geometrically spaced points per end, from half the band
+        # down to 1e-6 of it, each solved by a fresh LP.  The public
+        # pointwise_derivative_sup rejects band ends, so the LP class is used.
+        import eqmarkov.extremal as ex
+
+        ref = domain.covering_interval if kind == "algebraic-chebyshev" else (-1.0, 1.0)
+        basis = PolyBasis(kind, n, ref)
+        candidates = []
+        for lo, hi in ex._bands_of(domain):
+            dists = np.geomspace(0.5 * (hi - lo), 1e-6 * (hi - lo), 10)
+            candidates += [lo, hi, *(lo + dists), *(hi - dists)]
+        ladder = max(
+            ex._CuttingPlaneLP(domain, basis, DEFAULT_TOL).solve(float(x0), k).value
+            for x0 in candidates
+        )
+        res = markov_constant_numeric(domain, basis, k)
+        assert res.value >= ladder * (1.0 - DEFAULT_TOL.cert_slack)
+
+    @pytest.mark.parametrize("domain, n, k", [
+        pytest.param(UNIT, 5, 3, id="unit-n5-k3"),
+        pytest.param(TWO, 4, 1, id="two-n4"),
+        pytest.param(TWO, 8, 1, id="two-n8"),
+        pytest.param(THREE, 6, 1, id="three-n6"),
+    ])
+    def test_witness_is_a_fixed_point(self, domain, n, k):
+        ref = domain.covering_interval
+        res = markov_constant_numeric(domain, PolyBasis("algebraic-chebyshev", n, ref), k)
+        half = 0.5 * (ref[1] - ref[0])
+        deriv = cheb.chebder(np.asarray(res.coefficients), k) / half**k
+        reach = brute_sup_algebraic(deriv, domain.bands, ref)
+        assert reach <= res.value * (1.0 + DEFAULT_TOL.cert_slack)
+
+    def test_lp_count_two_band_n24(self, simplex_calls):
+        res = markov_constant_numeric(TWO, PolyBasis("algebraic-chebyshev", 24, TWO.covering_interval))
+        assert len(simplex_calls) <= 16
+        assert res.value / (markov_global(TWO).value * 24 * 24) > 0.85
+
+    def test_short_arc_certifies(self):
+        # An endpoint ladder failed here: its carried-constraint solve at
+        # theta = -1 + 0.2327... did not reproduce its own LP value.
+        per = PeriodicSet(IntervalUnion((-1.0, 1.0)))
+        res = markov_constant_numeric(per, PolyBasis("trigonometric", 8))
+        assert brute_sup_trig(res.coefficients, per.base.bands) <= 1.0 + DEFAULT_TOL.cert_slack
+        j = np.arange(1, 9)
+        c = np.asarray(res.coefficients)
+        deriv = np.zeros_like(c)
+        deriv[1::2], deriv[2::2] = j * c[2::2], -j * c[1::2]
+        assert brute_sup_trig(deriv, per.base.bands) <= res.value * (1.0 + DEFAULT_TOL.cert_slack)
+        ratio = res.value / (64 * videnskii_markov(1.0).value)
+        assert 0.99 < ratio <= 1.0 + DEFAULT_TOL.asymptotic_slack
+
 
 # ---------------------------------------------------------------------------
 # exact sup-norm certificate
@@ -362,20 +442,10 @@ class TestExactCertificate:
         norm = brute_sup_trig(res.coefficients, per.base.bands)
         assert norm <= 1.0 + DEFAULT_TOL.cert_slack
 
-    def test_one_lp_per_round(self, monkeypatch):
-        import eqmarkov.extremal as ex
-
-        calls = []
-        real = ex.simplex_solve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ex, "simplex_solve", counting)
+    def test_one_lp_per_round(self, simplex_calls):
         res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 11), 0.0)
         assert res.refinements >= 1
-        assert len(calls) == res.refinements + 1
+        assert len(simplex_calls) == res.refinements + 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_kernel_matches_dense_sampling(self, seed):
