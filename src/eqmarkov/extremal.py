@@ -6,15 +6,18 @@ band ends and at the critical points of P inside the bands, found as the roots
 of P' (colleague matrix) or, for trigonometric polynomials, as the unimodular
 roots of a degree-2n polynomial in z = e^{it}.
 
-Sup-norm extremal problems are semi-infinite linear programs solved by an
-exchange method: start from a small Chebyshev-spaced constraint grid, solve
-one LP (the feasible set is symmetric, so one sign suffices), take the
-witness's exact sup norm, and add every critical point where |P| pokes above 1
-as a new constraint until the norm is certified to 1 + cert_slack.  The
-reported value therefore brackets the true extremum within that slack from
-above.  A Markov constant is the sup of such pointwise values over the set;
-its sweep walks from every band end to the argmax of its own witness's
-|P^(k)|, so it is a certified lower bound on that sup.  L2 problems become
+Sup-norm extremal problems are semi-infinite linear programs solved by cutting
+planes: start from a small Chebyshev-spaced constraint grid, solve one LP (the
+feasible set is symmetric, so one sign suffices), take the witness's exact sup
+norm, and add every critical point where |P| pokes above 1 as a new constraint
+until the norm is certified to 1 + cert_slack.  The reported value therefore
+brackets the true extremum within that slack from above.  Each LP is solved
+on numpy alone, by a simplex exchange on its L1 dual (Hettich & Kortanek,
+SIAM Review 1993; the Remez exchange of Pachon & Trefethen, BIT 2009) that is
+warm-started from the reference the previous LP ended on.  A Markov constant
+is the sup of such pointwise values over the set; its sweep walks from every
+band end to the argmax of its own witness's |P^(k)|, so it is a certified
+lower bound on that sup.  L2 problems become
 generalized eigenproblems for the pencil (A, B) of derivative and plain Gram
 matrices assembled with per-band Gauss-Jacobi rules that absorb the weight's
 endpoint exponents exactly; the pencil is solved from row factors of A and B
@@ -45,7 +48,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Weight, va_markov_exact, videnskii_pointwise, videnskii_markov
-from .numerics import golub_welsch, jacobi_recurrence, simplex_solve
+from .numerics import golub_welsch, jacobi_recurrence
 from .sets import IntervalUnion, PeriodicSet, gamma_of
 
 __all__ = [
@@ -247,6 +250,55 @@ def _circle_norm(coeffs: np.ndarray) -> float:
 # sup-norm LPs
 # ---------------------------------------------------------------------------
 
+def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tolerances):
+    """max objective.x s.t. |rows @ x| <= 1, by simplex pivots on its L1 dual.
+
+    The dual is min sum|w| s.t. rows^T w = objective.  A reference B of dim
+    row indices is a basis of it: w = R_B^{-T} objective, and x = R_B^{-1}
+    sign(w) interpolates the signs on B, so objective.x = sum|w|.  Any
+    nonsingular reference is dual feasible, so there is no phase 1 and a
+    reference from an earlier solve is a warm start.  The row where |rows @ x|
+    is largest enters while it exceeds 1 + min(cert_slack, lp_feasibility);
+    the leaving row comes from a long-step ratio test over the breakpoints of
+    sum|w| along the entering direction.  An entering row that is already in
+    the reference means the pricing threshold is below round-off, and x is
+    returned as it stands for the caller's checks to judge.
+
+    Returns x and the final reference.
+    """
+    threshold = 1.0 + min(tol.cert_slack, tol.lp_feasibility)
+    pivots = 0
+    while True:
+        basic = rows[ref]
+        try:
+            w = np.linalg.solve(basic.T, objective)
+            s = np.where(w < 0.0, -1.0, 1.0)
+            x = np.linalg.solve(basic, s)
+        except np.linalg.LinAlgError:
+            raise NumericFailureError("singular reference in the LP exchange") from None
+        r = rows @ x
+        enter = int(np.argmax(np.abs(r)))
+        excess = abs(float(r[enter]))
+        if not np.isfinite(excess):
+            raise NumericFailureError("LP exchange lost its reference to round-off")
+        if excess <= threshold or enter in ref:
+            return x, ref
+        if pivots >= tol.lp_iteration_limit:
+            raise ResourceLimitError("LP iteration limit reached")
+        # w_B(t) = w - t d as the entering weight grows to t sign(r); each
+        # |w_i| that reaches zero raises the slope 1 - excess by 2 |d_i|
+        d = math.copysign(1.0, r[enter]) * np.linalg.solve(basic.T, rows[enter])
+        cand = np.flatnonzero(s * d > 0.0)
+        order = np.argsort(np.abs(w[cand]) / np.abs(d[cand]), kind="stable")
+        slope = 1.0 - excess + 2.0 * np.cumsum(np.abs(d[cand[order]]))
+        stop = np.flatnonzero(slope >= 0.0)
+        if stop.size == 0:
+            raise NumericFailureError("LP exchange found no leaving row (unbounded dual)")
+        ref = ref.copy()
+        ref[cand[order[stop[0]]]] = enter
+        pivots += 1
+
+
 class _CuttingPlaneLP:
     """The constraints |P| <= 1 at finitely many points of the set.
 
@@ -257,6 +309,11 @@ class _CuttingPlaneLP:
     re-checked against the original objective row.  Cutting planes only ever
     add points of the set, so each row is valid for every objective, and a
     Markov sweep solves every step of its walks on one growing constraint set.
+
+    Each LP is solved by `_exchange`, warm-started from the reference that
+    the previous one ended on: `ref` indexes `rows`, which only ever grow.
+    The first reference is dim points evenly spread over the (ascending)
+    start grid, which the Haar property of both bases makes nonsingular.
     """
 
     def __init__(self, domain, basis: PolyBasis, tol: Tolerances):
@@ -274,6 +331,7 @@ class _CuttingPlaneLP:
         if np.linalg.cond(v_start) > tol.basis_cond_max:
             raise NumericFailureError("basis is ill-conditioned on the constraint grid")
         self.rows, self.r_fac = np.linalg.qr(v_start)
+        self.ref = np.round(np.linspace(0, self.grid.size - 1, basis.dim)).astype(int)
 
     def _to_working(self, mat: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.r_fac.T, mat.T).T
@@ -292,21 +350,17 @@ class _CuttingPlaneLP:
         while True:
             if 2 * self.rows.shape[0] > tol.lp_max_constraints:
                 raise ResourceLimitError("constraint grid exceeded the LP limit")
-            lhs = np.vstack([self.rows, -self.rows])
-            lp = simplex_solve(objective_w, lhs, np.ones(lhs.shape[0]), tol=tol)
-            if lp.status == "iteration-limit":
-                raise ResourceLimitError("LP iteration limit reached")
-            if lp.status != "optimal":
-                raise NumericFailureError(f"LP ended with status {lp.status!r}")
-            coeff = np.linalg.solve(self.r_fac, lp.solution)
+            solution, self.ref = _exchange(self.rows, objective_w, self.ref, tol)
+            coeff = np.linalg.solve(self.r_fac, solution)
             points, values = _abs_extrema(basis, coeff, self.bands)
             certified = float(np.max(values))
             if certified <= 1.0 + tol.cert_slack:
                 break
-            excess = float(np.max(np.abs(self.rows @ lp.solution))) - 1.0
+            excess = float(np.max(np.abs(self.rows @ solution))) - 1.0
             if excess > tol.cert_slack:
-                # the LP honours its rows only to lp_feasibility, so re-adding
-                # a violated point cannot bring the witness within cert_slack
+                # the exchange stopped at round-off above its own rows, so
+                # re-adding a violated point cannot bring the witness within
+                # cert_slack
                 raise NumericFailureError(
                     f"LP witness exceeds its own constraints by {excess:.1e}, more than "
                     f"cert_slack {tol.cert_slack:.1e} (lp_feasibility {tol.lp_feasibility:.1e})"
@@ -318,7 +372,7 @@ class _CuttingPlaneLP:
             self.rows = np.vstack([self.rows, self._to_working(basis.design_matrix(cuts))])
             self.grid = np.concatenate([self.grid, cuts])
             refinements += 1
-        value = float(lp.objective)
+        value = float(objective_w @ solution)
         recheck = abs(float(objective @ coeff))
         if abs(recheck - value) > tol.objective_recheck * max(1.0, abs(value)):
             raise NumericFailureError("extremal witness does not reproduce the LP value")

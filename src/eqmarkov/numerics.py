@@ -8,15 +8,17 @@ handful of primitives in this module.  Conventions:
   * Three-term recurrences are monic: p_{k+1} = (x - a_k) p_k - b_k p_{k-1},
     with b[0] holding the total mass of the measure (Gautschi's convention).
   * `simplex_solve` maximizes c.x subject to A x <= b with free variables and
-    returns a basic (vertex) optimum, which is what equioscillation extraction
-    relies on.
+    returns a basic (vertex) optimum.
 
-scipy is imported where it is used, never at module level: `simplex_solve`
-(HiGHS through `linprog`), `bessel_j` and `bessel_smallest_zero` (`jv`),
+scipy is imported where it is used, never at module level.  Of its users,
+only `bessel_j` and `bessel_smallest_zero` (`jv`) serve the program, through
+the factor catalog.  `simplex_solve` (HiGHS through `linprog`) is the
+test-side oracle for the LP exchange in `extremal`, which runs on numpy;
 `symmetric_eig_max` (the generalized `eigh`) and `gauss_legendre`
-(`roots_legendre`).  Everything the closed-form route calls (Gauss-Chebyshev,
-Golub-Welsch, the bracketed root finder) runs on numpy alone, so a process
-that only builds densities never loads scipy.
+(`roots_legendre`) are oracles for tests and the benchmark.  Everything else
+(Gauss-Chebyshev, Golub-Welsch, the bracketed root finder) runs on numpy
+alone, so building densities or solving an extremal problem never loads
+scipy.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Everything runs through main(argv) in-process so the tests see the real exit
 codes and the exact bytes a shell user would.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -179,6 +180,16 @@ class TestExtremal:
         assert code == 4
         assert "resource limit" in err
 
+    def test_iteration_limit_exit(self, capsys, monkeypatch):
+        import eqmarkov.cli as cli
+
+        tight = dataclasses.replace(cli.DEFAULT_TOL, lp_iteration_limit=3)
+        monkeypatch.setattr(cli, "DEFAULT_TOL", tight)
+        code, out, err = run(capsys, "extremal", "--set", UNIT, "--n", "7", "--point", "0.0")
+        assert code == 4
+        assert out == ""
+        assert "iteration limit" in err
+
     def test_degree_required(self, capsys):
         code, _, err = run(capsys, "extremal", "--set", UNIT)
         assert code == 2
@@ -334,9 +345,8 @@ def _scipy_loaded_after(*argvs) -> dict:
 
 
 class TestColdStart:
-    """The closed-form route runs on numpy alone; scipy loads only where the
-    LP, the Bessel functions, the generalized eigensolver or Gauss-Legendre
-    nodes need it."""
+    """The closed-form route and the brute-force oracles run on numpy alone;
+    of the subcommands, only factors loads scipy, for its Bessel functions."""
 
     def test_closed_form_subcommands_never_load_scipy(self):
         loaded = _scipy_loaded_after(
@@ -345,6 +355,14 @@ class TestColdStart:
             ["l2", "--set", UNIT, "--n", "6"],
         )
         assert loaded == {"eqdensity": [], "verify": [], "l2": []}
+
+    def test_extremal_never_loads_scipy(self):
+        loaded = _scipy_loaded_after(
+            ["extremal", "--set", UNIT, "--n", "7"],
+            ["extremal", "--set", TWO, "--n", "8", "--point", "0.5"],
+            ["extremal", "--beta", "2.0", "--n", "6", "--point", "0.3"],
+        )
+        assert loaded == {"extremal": []}
 
     def test_factors_loads_special_but_not_optimize(self):
         loaded = _scipy_loaded_after(["factors", "--set", UNIT])["factors"]

@@ -12,6 +12,7 @@ independent QUADPACK-assembled oracle.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 from eqmarkov.config import DEFAULT_TOL
 from eqmarkov.errors import (
     DomainError,
+    EqmarkovError,
     InvalidArgumentError,
     NumericFailureError,
     ResourceLimitError,
@@ -44,7 +46,7 @@ from eqmarkov.factors import (
     videnskii_markov,
     videnskii_pointwise,
 )
-from eqmarkov.numerics import symmetric_eig_max
+from eqmarkov.numerics import simplex_solve, symmetric_eig_max
 from eqmarkov.sets import IntervalUnion, PeriodicSet
 
 UNIT = IntervalUnion((-1.0, 1.0))
@@ -54,18 +56,19 @@ THREE = IntervalUnion((-1.0, -0.6, -0.2, 0.3, 0.5, 1.0))
 
 
 @pytest.fixture
-def simplex_calls(monkeypatch):
-    """One entry per LP the extremal module solves while the test runs."""
+def lp_solves(monkeypatch):
+    """One entry per LP the extremal module solves (one exchange) while the
+    test runs."""
     import eqmarkov.extremal as ex
 
     calls = []
-    real = ex.simplex_solve
+    real = ex._exchange
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ex, "simplex_solve", counting)
+    monkeypatch.setattr(ex, "_exchange", counting)
     return calls
 
 
@@ -181,11 +184,17 @@ class TestExtremalResult:
         per = PeriodicSet(IntervalUnion((-2.0, 2.0)))
         res = pointwise_derivative_sup(per, PolyBasis("trigonometric", 6), 0.3, tol=tighter)
         assert res.certified_norm <= 1.0 + tighter.cert_slack
-        # below what the LP itself honours, the failure is named at once
-        # instead of spending the refinement budget on the same LP
+        # the exchange holds its reference rows to round-off, so a slack
+        # far below lp_feasibility still certifies
         tightest = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-12)
+        for n in (7, 11):
+            res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", n), 0.0, tol=tightest)
+            assert res.certified_norm <= 1.0 + tightest.cert_slack
+        # below round-off, the failure is named at once instead of spending
+        # the refinement budget on the same LP
+        below_round_off = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-16)
         with pytest.raises(NumericFailureError, match="own constraints"):
-            pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 7), 0.0, tol=tightest)
+            pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 7), 0.0, tol=below_round_off)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +257,13 @@ class TestPointwiseLP:
         tight = dataclasses.replace(DEFAULT_TOL, lp_max_constraints=10)
         basis = PolyBasis("algebraic-chebyshev", 5)
         with pytest.raises(ResourceLimitError):
+            pointwise_derivative_sup(UNIT, basis, 0.0, tol=tight)
+
+    def test_iteration_limit_honest(self):
+        # the first LP at n = 7 needs more than three exchange pivots
+        tight = dataclasses.replace(DEFAULT_TOL, lp_iteration_limit=3)
+        basis = PolyBasis("algebraic-chebyshev", 7)
+        with pytest.raises(ResourceLimitError, match="iteration limit"):
             pointwise_derivative_sup(UNIT, basis, 0.0, tol=tight)
 
     def test_refinement_budget_honest(self):
@@ -344,9 +360,9 @@ class TestMarkovLP:
         reach = brute_sup_algebraic(deriv, domain.bands, ref)
         assert reach <= res.value * (1.0 + DEFAULT_TOL.cert_slack)
 
-    def test_lp_count_two_band_n24(self, simplex_calls):
+    def test_lp_count_two_band_n24(self, lp_solves):
         res = markov_constant_numeric(TWO, PolyBasis("algebraic-chebyshev", 24, TWO.covering_interval))
-        assert len(simplex_calls) <= 16
+        assert len(lp_solves) <= 16
         assert res.value / (markov_global(TWO).value * 24 * 24) > 0.85
 
     def test_short_arc_certifies(self):
@@ -442,10 +458,10 @@ class TestExactCertificate:
         norm = brute_sup_trig(res.coefficients, per.base.bands)
         assert norm <= 1.0 + DEFAULT_TOL.cert_slack
 
-    def test_one_lp_per_round(self, simplex_calls):
+    def test_one_lp_per_round(self, lp_solves):
         res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 11), 0.0)
         assert res.refinements >= 1
-        assert len(simplex_calls) == res.refinements + 1
+        assert len(lp_solves) == res.refinements + 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_kernel_matches_dense_sampling(self, seed):
@@ -492,6 +508,162 @@ class TestExactCertificate:
             lambda t: np.polynomial.polynomial.polyval(np.exp(1j * t), c), -math.pi, math.pi)
         assert got >= want - 8 * eps * np.sum(np.abs(c))
         assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# the LP exchange against solvers that share no code with it
+# ---------------------------------------------------------------------------
+
+ARC2 = PeriodicSet(IntervalUnion((-2.0, 2.0)))
+
+# The cutting-plane problems of the benchmark's sup_oracle workload:
+# (set, degree, point or None for the Markov sweep, derivative order).
+SUP_ORACLE = [
+    pytest.param(UNIT, 7, 0.0, 1, id="unit-n7"),
+    pytest.param(UNIT, 8, 0.0, 1, id="unit-n8"),
+    pytest.param(UNIT, 9, 0.0, 1, id="unit-n9"),
+    pytest.param(UNIT, 8, 0.3, 2, id="unit-n8-k2"),
+    pytest.param(UNIT, 7, -0.2, 3, id="unit-n7-k3"),
+    pytest.param(UNIT, 5, None, 1, id="unit-markov-n5"),
+    pytest.param(UNIT, 6, None, 2, id="unit-markov-n6-k2"),
+    pytest.param(UNIT, 5, None, 3, id="unit-markov-n5-k3"),
+    pytest.param(TWO, 8, 0.5, 1, id="two-n8"),
+    pytest.param(TWO, 2, None, 1, id="two-markov-n2"),
+    pytest.param(TWO, 4, None, 1, id="two-markov-n4"),
+    pytest.param(ARC2, 6, 0.3, 1, id="arc2-n6"),
+    pytest.param(ARC2, 4, None, 1, id="arc2-markov-n4"),
+]
+
+
+def solve_problem(domain, n, x0, k):
+    if isinstance(domain, PeriodicSet):
+        basis = PolyBasis("trigonometric", n)
+    else:
+        basis = PolyBasis("algebraic-chebyshev", n, domain.covering_interval)
+    if x0 is None:
+        return markov_constant_numeric(domain, basis, k)
+    return pointwise_derivative_sup(domain, basis, x0, k)
+
+
+def highs_lp(rows, objective, tol):
+    """max objective.x s.t. |rows @ x| <= 1, by HiGHS through linprog."""
+    return simplex_solve(objective, np.vstack([rows, -rows]), np.ones(2 * len(rows)), tol=tol)
+
+
+def highs_exchange(rows, objective, ref, tol):
+    """Drop-in for the exchange: each cutting-plane round solved by HiGHS."""
+    lp = highs_lp(rows, objective, tol)
+    if lp.status != "optimal":
+        raise NumericFailureError(f"LP ended with status {lp.status!r}")
+    return lp.solution, ref
+
+
+def cheb_row(t, n, reference):
+    """T_0..T_n of the reference interval at t, in the current mpmath precision."""
+    mid = (mpmath.mpf(reference[0]) + reference[1]) / 2
+    half = (mpmath.mpf(reference[1]) - reference[0]) / 2
+    u = (mpmath.mpf(t) - mid) / half
+    row = [mpmath.mpf(1), u]
+    while len(row) < n + 1:
+        row.append(2 * u * row[-1] - row[-2])
+    return row[: n + 1]
+
+
+class TestExchangeOracles:
+    @pytest.mark.parametrize("domain, n, x0, k", SUP_ORACLE)
+    def test_highs_matches_every_lp(self, monkeypatch, domain, n, x0, k):
+        # Every LP the exchange solves, HiGHS solves again on the same rows.
+        import eqmarkov.extremal as ex
+
+        real = ex._exchange
+        values = []
+
+        def checked(rows, objective, ref, tol):
+            x, ref = real(rows, objective, ref, tol)
+            value = float(objective @ x)
+            lp = highs_lp(rows, objective, tol)
+            assert lp.status == "optimal"
+            assert abs(lp.objective - value) <= tol.lp_feasibility * abs(lp.objective)
+            values.append(value)
+            return x, ref
+
+        monkeypatch.setattr(ex, "_exchange", checked)
+        res = solve_problem(domain, n, x0, k)
+        assert res.value in values
+
+    @pytest.mark.parametrize("domain, n, x0, k", [
+        p for p in SUP_ORACLE if not isinstance(p.values[0], PeriodicSet)
+    ])
+    def test_reference_resolved_at_30_digits(self, monkeypatch, domain, n, x0, k):
+        # The LP value is sum |w| on the final reference B, where V_B^T w = c;
+        # the interpolant a of sign(w) on B has c.a = sum |w|.
+        import eqmarkov.extremal as ex
+
+        real = ex._CuttingPlaneLP.solve
+        solved = []
+
+        def recording(self, point, order):
+            res = real(self, point, order)
+            solved.append((point, res, self.grid[self.ref].copy()))
+            return res
+
+        monkeypatch.setattr(ex._CuttingPlaneLP, "solve", recording)
+        res = solve_problem(domain, n, x0, k)
+        point, _, reference = next(s for s in solved if s[1].coefficients == res.coefficients)
+        cover = domain.covering_interval
+        with mpmath.workdps(30):
+            half = (mpmath.mpf(cover[1]) - cover[0]) / 2
+            at_point = cheb_row(point, n, cover)
+            c = []
+            for j in range(n + 1):
+                e = np.zeros(j + 1)
+                e[j] = 1.0
+                der = cheb.chebder(e, k)     # integer coefficients, exact
+                c.append(sum(mpmath.mpf(d) * t for d, t in zip(der, at_point)) / half**k)
+            v = mpmath.matrix([cheb_row(t, n, cover) for t in reference])
+            w = mpmath.lu_solve(v.T, mpmath.matrix(c))
+            a = mpmath.lu_solve(v, mpmath.matrix([mpmath.sign(wi) for wi in w]))
+            value = abs(sum(ci * ai for ci, ai in zip(c, a)))
+            assert abs(value - sum(abs(wi) for wi in w)) <= mpmath.mpf(10) ** -25 * value
+            assert abs(float(value) - res.value) <= DEFAULT_TOL.objective_recheck * float(value)
+
+    def test_random_problems_agree_with_highs(self, monkeypatch):
+        # Seeded problems across band layouts, arcs, degrees and orders: each
+        # certifies or raises a typed error, and wherever the exchange and a
+        # HiGHS-per-round route both certify, they agree within cert_slack.
+        import eqmarkov.extremal as ex
+
+        real = ex._exchange
+        rng = np.random.default_rng(2026)
+        agreed = 0
+        for _ in range(40):
+            if rng.uniform() < 0.6:
+                while True:
+                    ends = np.sort(rng.uniform(-1.0, 1.0, 2 * int(rng.integers(1, 4))))
+                    if np.min(np.diff(ends)) >= 0.05:
+                        break
+                domain = IntervalUnion(tuple(float(e) for e in ends))
+                n = int(rng.integers(1, 25))
+            else:
+                beta = float(rng.uniform(0.3, 3.05))
+                domain = PeriodicSet(IntervalUnion((-beta, beta)))
+                n = int(rng.integers(1, 13))
+            k = int(rng.integers(1, 3))
+            bands = ex._bands_of(domain)
+            lo, hi = bands[int(rng.integers(len(bands)))]
+            x0 = None if rng.uniform() < 0.4 else float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
+            outcomes = []
+            for route in (real, highs_exchange):
+                monkeypatch.setattr(ex, "_exchange", route)
+                try:
+                    outcomes.append(solve_problem(domain, n, x0, k).value)
+                except EqmarkovError as exc:
+                    outcomes.append(exc)
+            exchange, highs = outcomes
+            if isinstance(exchange, float) and isinstance(highs, float):
+                assert abs(exchange - highs) <= DEFAULT_TOL.cert_slack * highs, (domain, n, x0, k)
+                agreed += 1
+        assert agreed >= 30
 
 
 # ---------------------------------------------------------------------------
