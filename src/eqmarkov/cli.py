@@ -309,17 +309,13 @@ def cmd_eqdensity(config: RunConfig) -> tuple[str, int]:
     else:
         raise InvalidArgumentError("unsupported set type for eqdensity")
 
-    ts: list[float] = []
-    for lo, hi in bands:
-        ts.extend(np.linspace(lo, hi, config.grid + 2)[1:-1])
+    ts = np.concatenate([np.linspace(lo, hi, config.grid + 2)[1:-1] for lo, hi in bands])
     if isinstance(s, Circle):
         # the parameter is the angle; the density lives on the curve itself
-        def at(t: float) -> float:
-            return float(density.evaluate(s.center + s.radius * complex(math.cos(t), math.sin(t))))
+        omega = [density.evaluate(s.center + s.radius * complex(math.cos(t), math.sin(t))) for t in ts]
     else:
-        def at(t: float) -> float:
-            return float(density.evaluate(t))
-    samples = [(float(t), at(float(t))) for t in ts]
+        omega = density.evaluate(ts)
+    samples = [(float(t), float(w)) for t, w in zip(ts, omega)]
 
     if config.fmt == "csv":
         comments = [

@@ -53,6 +53,7 @@ from .sets import (
     Lemniscate,
     SetLike,
     wrap_angle,
+    wrap_angles,
 )
 
 __all__ = [
@@ -175,7 +176,8 @@ class EquilibriumDensity:
     `geometry` is 'line' (interval unions), 'circle' (arc unions, evaluate
     takes an angle), 'constant' (circles) or 'level-set' (lemniscates,
     evaluate takes a complex point).  `xi` is populated only by the
-    closed-form interval route.
+    closed-form interval route.  Line and circle densities also evaluate an
+    array of points at once.
     """
 
     set: SetLike
@@ -186,10 +188,30 @@ class EquilibriumDensity:
     method: str
     bands: tuple[_Band, ...] = field(repr=False, default=())
     _eval: Callable = field(repr=False, default=None, compare=False)
+    _eval_array: Callable | None = field(repr=False, default=None, compare=False)
 
-    def evaluate(self, point) -> float:
-        """Density at a point: real t (line), angle (circle), complex z."""
+    def evaluate(self, point):
+        """Density at a point: real t (line), angle (circle), complex z.
+
+        An array (or list) of points gives an array of densities, on line
+        and circle geometries only; DomainError if any point is not interior.
+        """
+        if isinstance(point, (np.ndarray, list, tuple)) and np.ndim(point) > 0:
+            if self._eval_array is None:
+                raise InvalidArgumentError(f"{self.geometry} densities take one point at a time")
+            return self._eval_array(np.asarray(point, dtype=float))
         return self._eval(point)
+
+
+def _band_index(t: np.ndarray, spans) -> np.ndarray:
+    """Index of the span whose interior holds each point; DomainError if a
+    point (or a NaN) lies in none."""
+    index = np.full(t.shape, -1)
+    for k, (lo, hi) in enumerate(spans):
+        index[(lo < t) & (t < hi)] = k
+    if np.any(index < 0):
+        raise DomainError("density needs interior points")
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +556,20 @@ def interval_density(
     def evaluate(t: float) -> float:
         return density_intervals(e, xi, t)
 
+    def evaluate_array(t: np.ndarray) -> np.ndarray:
+        _band_index(t, e.bands)
+        num = np.ones(t.shape)      # density_intervals' products, in its order
+        for x0 in xi:
+            num *= np.abs(t - x0)
+        den = np.ones(t.shape)
+        for a in e.endpoints:
+            den *= np.abs(t - a)
+        return num / (math.pi * np.sqrt(den))
+
     density = _certified(EquilibriumDensity(
         set=e, geometry="line", xi=tuple(xi), mass=_band_mass(bands, e.bands, tol),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
+        _eval_array=evaluate_array,
     ), tol, validate)
     if validate:
         for (glo, ghi), x0 in zip(e.gaps, xi):
@@ -575,9 +608,16 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         t = wrap_angle(theta - center)
         return density_arc(beta, t)
 
+    def evaluate_array(theta: np.ndarray) -> np.ndarray:
+        t = wrap_angles(theta - center)
+        _band_index(t, ((-beta, beta),))
+        den = np.sin(0.5 * (beta - t)) * np.sin(0.5 * (beta + t))
+        return np.cos(0.5 * t) / (2.0 * math.pi * np.sqrt(den))
+
     return _certified(EquilibriumDensity(
         set=a, geometry="circle", xi=(), mass=_band_mass(bands, a.arcs, tol),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
+        _eval_array=evaluate_array,
     ), tol, True)
 
 
@@ -673,9 +713,19 @@ def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> 
                 return float(_cheb.chebval(sig, b.coeffs) / math.sqrt(1.0 - sig * sig))
         raise DomainError("density evaluation needs an interior point")
 
+    def evaluate_array(points: np.ndarray) -> np.ndarray:
+        t = wrap_angles(points) if geometry == "circle" else points
+        index = _band_index(t, band_spans)
+        out = np.empty(t.shape)
+        for k, b in enumerate(bands):
+            sig = (t[index == k] - b.center) / b.half
+            out[index == k] = _cheb.chebval(sig, b.coeffs) / np.sqrt(1.0 - sig * sig)
+        return out
+
     return _certified(EquilibriumDensity(
         set=s, geometry=geometry, xi=(), mass=_band_mass(bands, band_spans, tol),
         frostman_spread=math.nan, method="collocation", bands=bands, _eval=evaluate,
+        _eval_array=evaluate_array,
     ), tol, True)
 
 

@@ -1,10 +1,12 @@
 """Brute-force extremal constants: LP sup-norm problems and L2 eigenproblems.
 
 Nothing here uses the closed-form factors.  Both sup-norm oracles share one
-exact kernel: the sup of |P| over a union of bands is the largest |P| at the
-band ends and at the critical points of P inside the bands, found as the roots
-of P' (colleague matrix) or, for trigonometric polynomials, as the unimodular
-roots of a degree-2n polynomial in z = e^{it}.
+exact kernel, `_abs_extrema`: the sup of |P| over a union of bands is the
+largest |P| at the band ends and at the critical points of P inside the bands,
+found as the roots of P' (colleague matrix) or, for trigonometric polynomials,
+as the unimodular roots of a degree-2n polynomial in z = e^{it}.  The kernel
+takes a stack of coefficient rows and solves their eigenproblems in one call
+per degree; the LP passes a stack of one.
 
 Sup-norm extremal problems are semi-infinite linear programs solved by cutting
 planes: start from a small Chebyshev-spaced constraint grid, solve one LP (the
@@ -25,7 +27,10 @@ so basis conditioning enters only through its square root.
 
 verify_inequality is the falsification harness: it throws seeded random
 polynomials at every non-asymptotic inequality in the catalog and reports any
-ratio that exceeds 1 beyond floating-point slack.  Every norm in a ratio is
+ratio that exceeds 1 beyond floating-point slack.  The trials are drawn one
+by one and then checked in stacks, one per degree, so each stack takes every
+norm from a single kernel call and every pointwise left-hand side from one
+product with probe design matrices built once.  Every norm in a ratio is
 the exact kernel's, so an undersampled norm can never manufacture a spurious
 violation; pointwise left-hand sides are sampled on fixed probe points.
 """
@@ -37,7 +42,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .config import DEFAULT_TOL, Tolerances
 from .equilibrium import arc_density, interval_density, solve_xi
@@ -179,71 +183,135 @@ def _chebyshev_spaced(bands, per_band: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _derivative(basis: PolyBasis, coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Coefficient vector of P^(k) in the same basis."""
+    """Coefficient rows of P^(k) in the same basis, for a (g, dim) stack."""
     if basis.kind == "algebraic-chebyshev":
         lo, hi = basis.reference
-        out = np.zeros(basis.dim)
-        der = _cheb.chebder(coeffs, k) * (0.5 * (hi - lo)) ** (-k)
-        out[: der.size] = der
-        return out
+        # T_j' = 2j (T_{j-1} + T_{j-3} + ...), with T_0 counted once
+        j = np.arange(basis.dim)
+        step = np.where((j[:, None] > j) & ((j[:, None] - j) % 2 == 1), 2.0 * j[:, None], 0.0)
+        step[:, 0] *= 0.5
+        out = coeffs
+        for _ in range(k):
+            out = out @ step
+        return out * (0.5 * (hi - lo)) ** (-k)
     out = np.array(coeffs, dtype=float)
-    out[0] = 0.0
+    out[:, 0] = 0.0
     j = np.arange(1, basis.degree + 1)
     for _ in range(k):          # (a cos jt + b sin jt)' = j b cos jt - j a sin jt
-        out[1::2], out[2::2] = j * out[2::2], -j * out[1::2]
+        out[:, 1::2], out[:, 2::2] = j * out[:, 2::2], -j * out[:, 1::2]
+    return out
+
+
+def _colleague(c: np.ndarray) -> np.ndarray:
+    """numpy's chebcompanion for a stack of Chebyshev series of degree >= 2,
+    rotated as chebroots rotates it."""
+    g, n = c.shape[0], c.shape[1] - 1
+    mat = np.zeros((g, n, n))
+    flat = mat.reshape(g, n * n)
+    flat[:, 1 :: n + 1] = flat[:, n :: n + 1] = 0.5      # super- and subdiagonal
+    mat[:, 0, 1] = mat[:, 1, 0] = math.sqrt(0.5)
+    scl = np.array([1.0] + [math.sqrt(0.5)] * (n - 1))
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+    return mat[:, ::-1, ::-1]
+
+
+def _companion(c: np.ndarray) -> np.ndarray:
+    """numpy's polycompanion for a stack of power series of degree >= 2."""
+    g, n = c.shape[0], c.shape[1] - 1
+    mat = np.zeros((g, n, n), dtype=c.dtype)
+    mat.reshape(g, n * n)[:, n :: n + 1] = 1.0          # subdiagonal
+    mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    return mat
+
+
+def _roots(rows: np.ndarray, companion, fill: complex) -> np.ndarray:
+    """Roots of every row of a stack of series, sorted per row as chebroots
+    and polyroots sort them, from one eigvals call per distinct degree.
+
+    Trailing zeros lower a row's degree, as in numpy; a row with fewer roots
+    than the widest is padded with `fill`.
+    """
+    size = np.max((rows != 0.0) * np.arange(1, rows.shape[1] + 1), axis=1)
+    widths = set(size.tolist())
+    out = np.full((rows.shape[0], max(max(widths) - 1, 0)), fill, dtype=complex)
+    for width in widths - {0, 1}:
+        sel = size == width
+        c = rows[sel, :width]
+        roots = -c[:, :1] / c[:, 1:] if width == 2 else np.linalg.eigvals(companion(c))
+        out[sel, : width - 1] = np.sort(roots, axis=1)
     return out
 
 
 def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
-    """Every point where |P| can attain its maximum over the bands, and |P| there.
+    """Every point where |P| can attain its maximum over the bands, and |P|
+    there, for each row of a (g, dim) stack of coefficients.
 
-    These are the band ends and the critical points of P inside each band, so
-    the largest value is the exact sup norm.  Critical points are the real
-    roots of P' (colleague matrix) for the algebraic basis, and for the
+    These are the band ends and the critical points of P, so the largest
+    value of a row is its exact sup norm.  Critical points are the real roots
+    of P' (colleague matrix) for the algebraic basis, and for the
     trigonometric basis the unimodular roots of z^n P'(t), a polynomial of
-    degree 2n in z = e^{it}.  Every root is projected onto the line or circle
-    and kept if it falls in a band: a true critical point may come back from
-    the eigensolver slightly complex or slightly off the circle, and an extra
-    candidate is a point of the set, so it can only raise the maximum.
+    degree 2n in z = e^{it}; the stack goes through one eigvals call per
+    distinct degree, which is one call when its rows share their degree.
+    Every root is projected onto the line or circle and clipped into each
+    band, so every row has the same number of candidates: the band ends plus
+    its clipped roots.  A true critical point may come back from the
+    eigensolver slightly complex or slightly off the circle, and a clipped
+    or spurious candidate is still a point of the set, so it can only raise
+    the maximum towards the sup, never past it.  Returns (g, m) arrays of
+    points and of |P| at them.
     """
+    g = coeffs.shape[0]
     deriv = _derivative(basis, coeffs, 1)
-    pieces = []
     if basis.kind == "algebraic-chebyshev":
         ref_lo, ref_hi = basis.reference
-        crit = 0.5 * (ref_lo + ref_hi) + 0.5 * (ref_hi - ref_lo) * _cheb.chebroots(deriv).real
-        for lo, hi in bands:
-            pieces.append(np.concatenate(([lo, hi], crit[(crit > lo) & (crit < hi)])))
+        crit = 0.5 * (ref_lo + ref_hi) + 0.5 * (ref_hi - ref_lo) * _roots(deriv, _colleague, 0.0).real
     else:
         n = basis.degree
-        zcoeffs = np.empty(2 * n + 1, dtype=complex)    # powers z^0 .. z^2n of z^n P'
-        zcoeffs[n] = deriv[0]
-        zcoeffs[n + 1 :] = 0.5 * (deriv[1::2] - 1j * deriv[2::2])
-        zcoeffs[:n] = np.conj(zcoeffs[n + 1 :])[::-1]
-        crit = np.angle(_poly.polyroots(zcoeffs))
-        for lo, hi in bands:
-            shifted = lo + np.mod(crit - lo, 2.0 * math.pi)   # bands may wrap past +-pi
-            pieces.append(np.concatenate(([lo, hi], shifted[shifted < hi])))
-    points = np.concatenate(pieces)
-    return points, np.abs(basis.design_matrix(points) @ coeffs)
+        zcoeffs = np.empty((g, 2 * n + 1), dtype=complex)    # z^0 .. z^2n of z^n P'
+        zcoeffs[:, n] = deriv[:, 0]
+        zcoeffs[:, n + 1 :] = 0.5 * (deriv[:, 1::2] - 1j * deriv[:, 2::2])
+        zcoeffs[:, :n] = np.conj(zcoeffs[:, n + 1 :])[:, ::-1]
+        crit = np.angle(_roots(zcoeffs, _companion, 1.0))
+    # per band: its two ends, then every root clipped into it
+    points = np.empty((g, len(bands), 2 + crit.shape[1]))
+    for i, (lo, hi) in enumerate(bands):
+        near = crit if basis.kind == "algebraic-chebyshev" else lo + np.mod(crit - lo, 2.0 * math.pi)
+        points[:, i, :2] = lo, hi       # bands may wrap past +-pi: angles are shifted past lo
+        points[:, i, 2:] = np.minimum(np.maximum(near, lo), hi)
+    points = points.reshape(g, -1)
+    return points, np.abs(_values(basis, coeffs, points))
 
 
-def _sup_norm(basis: PolyBasis, coeffs: np.ndarray, bands) -> float:
-    return float(np.max(_abs_extrema(basis, coeffs, bands)[1]))
+def _values(basis: PolyBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each row of a (g, dim) stack evaluated at its own row of (g, m) points."""
+    if basis.kind == "algebraic-chebyshev":
+        lo, hi = basis.reference
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return _cheb.chebval(((points - c) / r).T, coeffs.T, tensor=False).T
+    phase = points[:, :, None] * np.arange(1, basis.degree + 1)
+    return coeffs[:, :1] + (np.cos(phase) @ coeffs[:, 1::2, None]
+                            + np.sin(phase) @ coeffs[:, 2::2, None])[:, :, 0]
 
 
-def _circle_norm(coeffs: np.ndarray) -> float:
-    """max |P(z)| on |z| = 1 for real power coefficients of P.
+def _sup_norm(basis: PolyBasis, coeffs: np.ndarray, bands) -> np.ndarray:
+    """Exact sup norm over the bands of each row of a (g, dim) stack."""
+    return np.max(_abs_extrema(basis, coeffs, bands)[1], axis=1)
+
+
+def _circle_norm(coeffs: np.ndarray) -> np.ndarray:
+    """max |P(z)| on |z| = 1 for each row of a (g, n + 1) stack of real power
+    coefficients.
 
     |P(e^{it})|^2 = rho_0 + 2 sum_m rho_m cos(mt), with rho the
     autocorrelation of the coefficients: a trigonometric polynomial of the
     same degree, so the trigonometric kernel serves it.
     """
-    n = len(coeffs) - 1
-    rho = np.correlate(coeffs, coeffs, "full")[n:]
-    square = np.zeros(2 * n + 1)
-    square[0] = rho[0]
-    square[1::2] = 2.0 * rho[1:]
-    return math.sqrt(_sup_norm(PolyBasis("trigonometric", n), square, ((-math.pi, math.pi),)))
+    n = coeffs.shape[1] - 1
+    rho = np.stack([np.sum(coeffs[:, : n + 1 - m] * coeffs[:, m:], axis=1) for m in range(n + 1)], axis=1)
+    square = np.zeros((coeffs.shape[0], 2 * n + 1))
+    square[:, 0] = rho[:, 0]
+    square[:, 1::2] = 2.0 * rho[:, 1:]
+    return np.sqrt(_sup_norm(PolyBasis("trigonometric", n), square, ((-math.pi, math.pi),)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +420,7 @@ class _CuttingPlaneLP:
                 raise ResourceLimitError("constraint grid exceeded the LP limit")
             solution, self.ref = _exchange(self.rows, objective_w, self.ref, tol)
             coeff = np.linalg.solve(self.r_fac, solution)
-            points, values = _abs_extrema(basis, coeff, self.bands)
+            points, values = _abs_extrema(basis, coeff[None, :], self.bands)
             certified = float(np.max(values))
             if certified <= 1.0 + tol.cert_slack:
                 break
@@ -367,8 +435,10 @@ class _CuttingPlaneLP:
                 )
             if refinements >= tol.refine_max_rounds:
                 raise NumericFailureError("cutting-plane refinement did not converge")
-            # the argmax is always a cut, also when cert_slack < lp_feasibility
-            cuts = points[values > 1.0 + min(tol.cert_slack, tol.lp_feasibility)]
+            # the argmax is always a cut, also when cert_slack < lp_feasibility;
+            # a root clipped to its band end duplicates that end, and enters once
+            cuts = np.sort(points[values > 1.0 + min(tol.cert_slack, tol.lp_feasibility)])
+            cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
             self.rows = np.vstack([self.rows, self._to_working(basis.design_matrix(cuts))])
             self.grid = np.concatenate([self.grid, cuts])
             refinements += 1
@@ -432,9 +502,9 @@ def markov_constant_numeric(
             if last is not None and result.value <= last * (1.0 + tol.objective_recheck):
                 break
             last = result.value
-            deriv = _derivative(basis, np.asarray(result.coefficients), k)
+            deriv = _derivative(basis, np.asarray(result.coefficients)[None, :], k)
             points, values = _abs_extrema(basis, deriv, lp.bands)
-            x0 = float(points[np.argmax(values)])
+            x0 = float(points[0, np.argmax(values[0])])
     return replace(best, l_n=best.value / float(basis.degree) ** (2 * k))
 
 
@@ -606,7 +676,7 @@ class VerifyReport:
 
 def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
     """Everything degree-independent a single inequality check needs."""
-    ctx = {}
+    ctx = {"kind": "algebraic-chebyshev", "reference": (-1.0, 1.0)}
     density = None
     if inequality in ("bernstein-unit", "markov-unit", "va-markov", "szego-unit"):
         if not (isinstance(s, IntervalUnion) and s.endpoints == (-1.0, 1.0)):
@@ -616,21 +686,24 @@ def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
         if not isinstance(s, IntervalUnion):
             raise InvalidArgumentError(f"{inequality} needs an interval union")
         ctx["bands"] = s.bands
+        ctx["reference"] = s.covering_interval
         density = interval_density(s, tol)
     elif inequality == "bernstein-trig":
         if not isinstance(s, PeriodicSet):
             raise InvalidArgumentError("bernstein-trig needs a periodic set")
         ctx["bands"] = s.base.bands
+        ctx["kind"] = "trigonometric"
         density = arc_density(gamma_of(s), tol)
     elif inequality == "trig-full-period":
         ctx["bands"] = ((-math.pi, math.pi),)
+        ctx["kind"] = "trigonometric"
     elif inequality == "riesz-circle":
         ctx["bands"] = ((-math.pi, math.pi),)
     else:
         raise InvalidArgumentError(f"unknown inequality {inequality!r}")
     ctx["probes"] = _probe_points(ctx["bands"], tol)
     if density is not None:
-        ctx["omega"] = density_scale * np.array([density.evaluate(float(t)) for t in ctx["probes"]])
+        ctx["omega"] = density_scale * density.evaluate(ctx["probes"])
     return ctx
 
 
@@ -642,20 +715,18 @@ def _probe_points(bands, tol: Tolerances, per_band: int = 64) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _trial_ratio(s, inequality: str, ctx, n: int, k: int, coeffs: np.ndarray) -> float:
-    """Worst LHS/RHS ratio of one random polynomial; > 1 means violation."""
+def _ratios(inequality: str, ctx, n: int, k: int, coeffs: np.ndarray) -> np.ndarray:
+    """Worst LHS/RHS ratio of each random polynomial of degree n in a
+    (trials, dim) stack; > 1 means violation."""
     bands, probes = ctx["bands"], ctx["probes"]
     if inequality == "riesz-circle":
-        norm = _circle_norm(coeffs)
-        z = np.exp(1j * probes)
-        lhs = np.max(np.abs(_poly.polyval(z, _poly.polyder(coeffs))))
-        return float(lhs / (n * norm))
+        # P'(e^{it}) = sum_j (j + 1) c_{j+1} (cos jt + i sin jt)
+        dcoeffs = coeffs[:, 1:] * np.arange(1, n + 1)
+        phase = np.outer(np.arange(n), probes)
+        lhs = np.max(np.hypot(dcoeffs @ np.cos(phase), dcoeffs @ np.sin(phase)), axis=1)
+        return lhs / (n * _circle_norm(coeffs))
 
-    if inequality in ("bernstein-trig", "trig-full-period"):
-        basis = PolyBasis("trigonometric", n)
-    else:
-        lo, hi = s.covering_interval if isinstance(s, IntervalUnion) else (-1.0, 1.0)
-        basis = PolyBasis("algebraic-chebyshev", n, (lo, hi))
+    basis = PolyBasis(ctx["kind"], n, ctx["reference"])
     norm = _sup_norm(basis, coeffs, bands)
     if inequality == "markov-unit":
         return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * n * norm)
@@ -664,25 +735,29 @@ def _trial_ratio(s, inequality: str, ctx, n: int, k: int, coeffs: np.ndarray) ->
     if inequality == "trig-full-period":
         return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * norm)
 
-    p = basis.design_matrix(probes) @ coeffs
-    dp = basis.design_matrix(probes, deriv=1) @ coeffs
+    p = coeffs @ basis.design_matrix(probes).T
+    dp = coeffs @ basis.design_matrix(probes, deriv=1).T
     if inequality == "bernstein-unit":
         lhs = np.abs(dp) * np.sqrt(1.0 - probes**2)
-        return float(np.max(lhs) / (n * norm))
+        return np.max(lhs, axis=1) / (n * norm)
     if inequality == "szego-unit":
         lhs = (dp * np.sqrt(1.0 - probes**2)) ** 2 + n * n * p**2
-        return float(np.max(lhs) / (n * n * norm * norm))
+        return np.max(lhs, axis=1) / (n * n * norm * norm)
     omega = ctx["omega"]
     if inequality == "bernstein-szego":
         lhs = (dp / (math.pi * omega)) ** 2 + n * n * p**2
-        return float(np.max(lhs) / (n * n * norm * norm))
+        return np.max(lhs, axis=1) / (n * n * norm * norm)
     if inequality == "bernstein-alg":
         lhs = np.abs(dp) / (math.pi * omega)
-        return float(np.max(lhs) / (n * norm))
+        return np.max(lhs, axis=1) / (n * norm)
     if inequality == "bernstein-trig":
         lhs = np.abs(dp) / (2.0 * math.pi * omega)
-        return float(np.max(lhs) / (n * norm))
+        return np.max(lhs, axis=1) / (n * norm)
     raise InvalidArgumentError(f"unknown inequality {inequality!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def verify_inequality(
@@ -695,46 +770,51 @@ def verify_inequality(
     density_scale: float = 1.0,
 ) -> VerifyReport:
     """Randomized check of a non-asymptotic inequality; `order` is the
-    derivative order used by the exact higher-derivative inequality only.
+    derivative order used by the exact higher-derivative inequality only,
+    and must lie in 1..verify_max_degree there.
+
+    Each trial draws its degree and then its coefficients from the seeded
+    generator, in trial order; the trials of one degree are then checked as
+    one stack.
 
     density_scale is a negative-control hook: the density-based bounds are
     divided through the scaled density, so any value other than 1 corrupts
     the right-hand sides on purpose and must produce violations.
     """
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
+    if not (_is_integer(trials) and trials >= 1):
+        raise InvalidArgumentError("trials must be an integer >= 1")
+    if not (_is_integer(rng_seed) and rng_seed >= 0):
+        raise InvalidArgumentError("seed must be a non-negative integer")
+    if inequality == "va-markov" and not (_is_integer(order) and 1 <= order <= tol.verify_max_degree):
+        raise InvalidArgumentError(
+            f"va-markov needs a derivative order in 1..{tol.verify_max_degree}, got {order!r}"
+        )
     if not (np.isfinite(density_scale) and density_scale > 0):
         raise InvalidArgumentError("density_scale must be positive")
     ctx = _verify_context(s, inequality, tol, float(density_scale))
     rng = np.random.default_rng(rng_seed)
-    max_ratio = -math.inf
-    worst_degree = 0
-    violations = []
-    witnesses = []
+    lowest = order if inequality == "va-markov" else 1
+    trig = inequality in ("bernstein-trig", "trig-full-period")
+    degrees = np.empty(trials, dtype=int)
+    draws = []
     for trial in range(trials):
-        lowest = order if inequality == "va-markov" else 1
         n = int(rng.integers(lowest, tol.verify_max_degree + 1))
-        if inequality == "riesz-circle":
-            coeffs = rng.standard_normal(n + 1)
-        elif inequality in ("bernstein-trig", "trig-full-period"):
-            coeffs = rng.standard_normal(2 * n + 1)
-        else:
-            coeffs = rng.standard_normal(n + 1)
-        ratio = _trial_ratio(s, inequality, ctx, n, order, coeffs)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst_degree = n
-        if ratio > 1.0 + tol.verify_hard:
-            violations.append((trial, n, float(ratio)))
-            witnesses.append(tuple(float(c) for c in coeffs))
+        degrees[trial] = n
+        draws.append(rng.standard_normal(2 * n + 1 if trig else n + 1))
+    ratios = np.empty(trials)
+    for n in sorted(set(degrees.tolist())):
+        group = np.flatnonzero(degrees == n)
+        ratios[group] = _ratios(inequality, ctx, n, order, np.stack([draws[t] for t in group]))
+    worst = int(np.argmax(ratios))       # the first trial that reaches the maximum
+    bad = np.flatnonzero(ratios > 1.0 + tol.verify_hard)
     return VerifyReport(
         inequality=inequality,
         trials=trials,
         seed=rng_seed,
-        max_ratio=float(max_ratio),
-        worst_degree=worst_degree,
-        violations=tuple(violations),
-        witnesses=tuple(witnesses),
+        max_ratio=float(ratios[worst]),
+        worst_degree=int(degrees[worst]),
+        violations=tuple((int(t), int(degrees[t]), float(ratios[t])) for t in bad),
+        witnesses=tuple(tuple(float(c) for c in draws[t]) for t in bad),
     )
 
 

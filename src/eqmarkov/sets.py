@@ -227,6 +227,15 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle for an array, to the same floats: fmod is exact, and so is
+    each subtraction of 2pi below, by Sterbenz's lemma."""
+    with np.errstate(invalid="ignore"):         # an infinite angle becomes NaN
+        t = np.fmod(theta, TWO_PI)
+    t = np.where(t >= math.pi, t - TWO_PI, t)
+    return np.where(t < -math.pi, t + TWO_PI, t)
+
+
 def gamma_of(periodic: PeriodicSet) -> ArcUnion:
     """Circle image {e^{it}: t in E} of a periodic set."""
     return ArcUnion(periodic.base.endpoints)

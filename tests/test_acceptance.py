@@ -54,16 +54,12 @@ def _gate(name: str, elapsed: float, budget: float, details, problems):
     assert not problems, f"{name}: " + "; ".join(problems)
 
 
-def _eval_grid(density, ts):
-    return np.array([density.evaluate(float(t)) for t in ts])
-
-
 def test_01_unit_interval_density():
     t0 = time.perf_counter()
     d = interval_density(UNIT)
     ts = np.linspace(-1.0, 1.0, 514)[1:-1]          # 512 interior points
     exact = 1.0 / (np.pi * np.sqrt(1.0 - ts * ts))
-    rel = float(np.max(np.abs(_eval_grid(d, ts) - exact) / exact))
+    rel = float(np.max(np.abs(d.evaluate(ts) - exact) / exact))
     mass_err = abs(d.mass - 1.0)
     elapsed = time.perf_counter() - t0
 
@@ -152,7 +148,7 @@ def test_04_arc_density_identity():
         arc = ArcUnion((-beta, beta))
         d = arc_density(arc)
         thetas = np.linspace(-0.95 * beta, 0.95 * beta, 50)
-        lhs = 2.0 * np.pi * _eval_grid(d, thetas)
+        lhs = 2.0 * np.pi * d.evaluate(thetas)
         s2 = np.sin(0.5 * beta) ** 2 - np.sin(0.5 * thetas) ** 2
         rhs = np.cos(0.5 * thetas) / np.sqrt(s2)
         worst_rel = max(worst_rel, float(np.max(np.abs(lhs - rhs) / rhs)))

@@ -89,6 +89,19 @@ class TestEqdensity:
         assert len(values) == 1
         assert abs(values.pop() - 1.0 / (4.0 * math.pi)) < 1e-15
 
+    def test_samples_are_the_pointwise_densities(self, capsys):
+        from eqmarkov.equilibrium import interval_density
+        from eqmarkov.sets import IntervalUnion
+
+        a, b = 0.37, 1.42
+        sym = '{"type": "intervals", "endpoints": [%r, %r, %r, %r]}' % (-b, -a, a, b)
+        code, out, _ = run(capsys, "eqdensity", "--set", sym, "--grid", "24")
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        density = interval_density(IntervalUnion((-b, -a, a, b)))
+        assert len(samples) == 48
+        assert all(row["omega"] == density.evaluate(row["t"]) for row in samples)
+
     def test_lemniscate_rejected(self, capsys):
         lem = '{"type":"lemniscate","coeffs":[0,0,1]}'
         code, out, err = run(capsys, "eqdensity", "--set", lem)
@@ -228,6 +241,16 @@ class TestVerify:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--k", "16"), "derivative order"),
+        (("--seed", "-1"), "seed"),
+    ], ids=["order-past-max-degree", "negative-seed"])
+    def test_bad_arguments_exit_two(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", "--set", UNIT, "--trials", "5", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
     def test_periodic_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--beta", "1.2", "--trials", "5", "--seed", "3")

@@ -438,3 +438,66 @@ class TestCircleAndLemniscate:
         d = lemniscate_density(Lemniscate((0.0, 0.0, 1.0)))
         with pytest.raises(DomainError):
             d.evaluate(2.0 + 0j)
+
+
+class TestArrayEvaluate:
+    """evaluate on an array of points against the scalar evaluate, point by point."""
+
+    THREE = IntervalUnion((-1.0, -0.6, -0.2, 0.3, 0.5, 1.0))
+
+    @staticmethod
+    def interior_grid(spans, per=41, rel=1e-9):
+        return np.concatenate([
+            np.linspace(lo + rel * (hi - lo), hi - rel * (hi - lo), per) for lo, hi in spans
+        ])
+
+    @pytest.mark.parametrize("e", [UNIT, TWOBAND, THREE], ids=["unit", "two", "three"])
+    def test_interval_union_bit_identical(self, e):
+        d = interval_density(e)
+        ts = self.interior_grid(e.bands)
+        got = d.evaluate(ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        want = [density_intervals(e, d.xi, float(t)) for t in ts]
+        assert got.tolist() == want
+        assert d.evaluate(ts.tolist()).tolist() == want      # a list is an array too
+
+    def test_scalar_in_float_out(self):
+        for d, t in (
+            (interval_density(TWOBAND), 0.5),
+            (arc_density(ArcUnion((-1.0, 1.0))), 0.25),
+            (collocation_density(TWOBAND), np.float64(0.5)),
+            (collocation_density(ArcUnion((-2.0, -1.0, 1.0, 2.0))), 1.5),
+        ):
+            assert type(d.evaluate(t)) is float
+
+    @pytest.mark.parametrize("d,spans", [
+        (arc_density(ArcUnion((-2.0, 0.5))), ((-2.0, 0.5),)),
+        (arc_density(ArcUnion((2.5, 3.1))), ((2.5, 3.1),)),
+        (collocation_density(ArcUnion((-2.0, -1.0, 1.0, 2.0))), ((-2.0, -1.0), (1.0, 2.0))),
+        (collocation_density(TWOBAND), TWOBAND.bands),
+    ], ids=["arc", "arc-near-pi", "two-arcs", "collocation-line"])
+    def test_within_four_ulp(self, d, spans):
+        ts = self.interior_grid(spans)
+        if d.geometry == "circle":
+            ts = np.concatenate([ts, ts + 2.0 * math.pi, ts - 4.0 * math.pi])
+        got = d.evaluate(ts)
+        want = np.array([d.evaluate(float(t)) for t in ts])
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.3, 0.0, 1.5, math.nan, math.inf])
+    def test_any_point_not_interior_raises(self, bad):
+        for d in (interval_density(TWOBAND), collocation_density(TWOBAND)):
+            with pytest.raises(DomainError):
+                d.evaluate(np.array([0.5, bad, -0.5]))
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.0, 2.0, -math.pi, math.nan, math.inf])
+    def test_any_angle_not_interior_raises(self, bad):
+        for d in (arc_density(ArcUnion((-1.0, 1.0))), collocation_density(ArcUnion((-1.0, -0.5, 0.5, 1.0)))):
+            with pytest.raises(DomainError):
+                d.evaluate(np.array([0.75, bad, 0.75 + 2.0 * math.pi]))
+
+    def test_only_banded_geometries_take_arrays(self):
+        with pytest.raises(InvalidArgumentError):
+            circle_density(Circle(2.0)).evaluate(np.array([2j, -2j]))
+        with pytest.raises(InvalidArgumentError):
+            lemniscate_density(Lemniscate((0.0, 0.0, 1.0))).evaluate([1.0 + 0j])

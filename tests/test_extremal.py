@@ -15,6 +15,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 
@@ -47,7 +49,7 @@ from eqmarkov.factors import (
     videnskii_pointwise,
 )
 from eqmarkov.numerics import simplex_solve, symmetric_eig_max
-from eqmarkov.sets import IntervalUnion, PeriodicSet
+from eqmarkov.sets import Circle, IntervalUnion, PeriodicSet
 
 UNIT = IntervalUnion((-1.0, 1.0))
 SPLIT = IntervalUnion((-1.0, -0.5, 0.5, 1.0))
@@ -479,7 +481,7 @@ class TestExactCertificate:
         bands = tuple(zip(ends[0::2], ends[1::2]))
         c = rng.standard_normal(n + 1)
         mid, half = 0.5 * (ref[0] + ref[1]), 0.5 * (ref[1] - ref[0])
-        got = _sup_norm(PolyBasis("algebraic-chebyshev", n, ref), c, bands)
+        got = _sup_norm(PolyBasis("algebraic-chebyshev", n, ref), c[None, :], bands)[0]
         # sampled in the angle of each band, where P is uniformly smooth
         want = max(
             zoomed_grid_max(
@@ -495,7 +497,7 @@ class TestExactCertificate:
         a = rng.uniform(-math.pi, math.pi)
         b = a + rng.uniform(0.2, 2.0 * math.pi)
         c = rng.standard_normal(2 * n + 1)
-        got = _sup_norm(PolyBasis("trigonometric", n), c, ((a, b),))
+        got = _sup_norm(PolyBasis("trigonometric", n), c[None, :], ((a, b),))[0]
         want = zoomed_grid_max(lambda t: trig_eval(c, t), a, b)
         assert got >= want - 8 * eps * np.sum(np.abs(c))
         assert abs(got - want) <= 1e-12 * want
@@ -503,11 +505,95 @@ class TestExactCertificate:
         # the circle: |P(e^{it})| through the square of its modulus
         n = int(rng.integers(1, 16))
         c = rng.standard_normal(n + 1)
-        got = _circle_norm(c)
+        got = _circle_norm(c[None, :])[0]
         want = zoomed_grid_max(
             lambda t: np.polynomial.polynomial.polyval(np.exp(1j * t), c), -math.pi, math.pi)
         assert got >= want - 8 * eps * np.sum(np.abs(c))
         assert abs(got - want) <= 1e-12 * want
+
+
+class TestStackedKernel:
+    """The sup-norm kernel on random stacks: every row as it comes out of the
+    stack equals the kernel run on that row alone, and is no smaller than
+    the dense-sampled maximum."""
+
+    @staticmethod
+    def check_stack(got, alone, sampled, scale):
+        eps = np.finfo(float).eps
+        for row, (value, single, want) in enumerate(zip(got, alone, sampled)):
+            assert abs(value - single) <= 1e-12 * single, row
+            assert value >= want - 8 * eps * scale[row], row
+            assert abs(value - want) <= 1e-12 * want, row
+
+    @staticmethod
+    def draw_stack(rng, g, dim, drop_top):
+        c = rng.standard_normal((g, dim))
+        if drop_top and g > 1:
+            c[0, -1] = 0.0          # one row of lower degree than the rest
+        return c
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), n=st.integers(1, 15),
+           nbands=st.integers(1, 3), drop_top=st.booleans())
+    @example(seed=0, g=1, n=1, nbands=1, drop_top=False)
+    @example(seed=1, g=3, n=1, nbands=3, drop_top=True)
+    def test_algebraic_stack(self, seed, g, n, nbands, drop_top):
+        from eqmarkov.extremal import _sup_norm
+
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(rng.uniform(-2.0, 2.0, 2))
+        ref = (lo - rng.uniform(0.0, 0.5), hi + rng.uniform(0.0, 0.5))
+        ends = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 2 * nbands - 2)), [hi]])
+        bands = tuple(zip(ends[0::2], ends[1::2]))
+        c = self.draw_stack(rng, g, n + 1, drop_top)
+        basis = PolyBasis("algebraic-chebyshev", n, ref)
+        got = _sup_norm(basis, c, bands)
+        alone = [_sup_norm(basis, c[i : i + 1], bands)[0] for i in range(g)]
+        mid, half = 0.5 * (ref[0] + ref[1]), 0.5 * (ref[1] - ref[0])
+        sampled = [
+            max(zoomed_grid_max(
+                lambda th, a=a, b=b, row=row: cheb.chebval(
+                    (0.5 * (a + b) + 0.5 * (b - a) * np.cos(th) - mid) / half, row),
+                0.0, math.pi) for a, b in bands)
+            for row in c
+        ]
+        assert got.shape == (g,)
+        self.check_stack(got, alone, sampled, np.sum(np.abs(c), axis=1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), n=st.integers(1, 15),
+           drop_top=st.booleans())
+    @example(seed=0, g=1, n=1, drop_top=False)
+    def test_trigonometric_stack(self, seed, g, n, drop_top):
+        from eqmarkov.extremal import _sup_norm
+
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-math.pi, math.pi)
+        b = a + rng.uniform(0.2, 2.0 * math.pi)       # may wrap past +-pi
+        c = self.draw_stack(rng, g, 2 * n + 1, drop_top)
+        if drop_top and g > 1:
+            c[0, -2] = 0.0          # cos nt and sin nt both gone
+        basis = PolyBasis("trigonometric", n)
+        got = _sup_norm(basis, c, ((a, b),))
+        alone = [_sup_norm(basis, c[i : i + 1], ((a, b),))[0] for i in range(g)]
+        sampled = [zoomed_grid_max(lambda t, row=row: trig_eval(row, t), a, b) for row in c]
+        self.check_stack(got, alone, sampled, np.sum(np.abs(c), axis=1))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), n=st.integers(1, 15))
+    @example(seed=0, g=1, n=1)
+    def test_circle_stack(self, seed, g, n):
+        from eqmarkov.extremal import _circle_norm
+
+        c = np.random.default_rng(seed).standard_normal((g, n + 1))
+        got = _circle_norm(c)
+        alone = [_circle_norm(c[i : i + 1])[0] for i in range(g)]
+        sampled = [
+            zoomed_grid_max(lambda t, row=row: np.polynomial.polynomial.polyval(np.exp(1j * t), row),
+                            -math.pi, math.pi)
+            for row in c
+        ]
+        self.check_stack(got, alone, sampled, np.sum(np.abs(c), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +927,197 @@ class TestVerifyHarness:
             verify_inequality(UNIT, "markov", trials=5, rng_seed=0)
         with pytest.raises(InvalidArgumentError):
             verify_inequality(UNIT, "markov-unit", trials=0, rng_seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"inequality": "va-markov", "order": DEFAULT_TOL.verify_max_degree + 1},
+        {"inequality": "va-markov", "order": 0},
+        {"inequality": "va-markov", "order": 2.0},
+        {"inequality": "markov-unit", "rng_seed": -1},
+        {"inequality": "markov-unit", "rng_seed": 1.5},
+        {"inequality": "markov-unit", "rng_seed": [1, 2]},
+        {"inequality": "markov-unit", "trials": 2.0},
+        {"inequality": "markov-unit", "trials": True},
+    ], ids=["order-high", "order-zero", "order-float", "seed-negative", "seed-float",
+            "seed-list", "trials-float", "trials-bool"])
+    def test_typed_argument_failures(self, kwargs):
+        args = {"trials": 5, "rng_seed": 0, **kwargs}
+        with pytest.raises(InvalidArgumentError):
+            verify_inequality(UNIT, **args)
+
+    def test_order_limits_accepted(self):
+        top = DEFAULT_TOL.verify_max_degree
+        assert verify_inequality(UNIT, "va-markov", 3, 0, order=top).worst_degree == top
+        assert verify_inequality(UNIT, "va-markov", 3, 0, order=1).ok
+        # order is read by va-markov only
+        assert verify_inequality(UNIT, "markov-unit", 3, 0, order=top + 1).ok
+
+
+# ---------------------------------------------------------------------------
+# the verifier against a per-trial loop that shares no code with it
+# ---------------------------------------------------------------------------
+
+ARC12 = PeriodicSet(IntervalUnion((-1.2, 1.2)))
+VERIFY_SUITE = (
+    ("bernstein-unit", UNIT),
+    ("markov-unit", UNIT),
+    ("va-markov", UNIT),
+    ("szego-unit", UNIT),
+    ("bernstein-szego", TWO),
+    ("bernstein-alg", TWO),
+    ("bernstein-trig", ARC12),
+    ("trig-full-period", ARC12),
+    ("riesz-circle", Circle(1.0)),
+)
+
+
+def oracle_gap_point(e: IntervalUnion) -> float:
+    """xi of a two-band set: the mean of u over the gap under the weight
+    1/sqrt|prod(u - a_i)|, by QUADPACK with the gap's own endpoints absorbed."""
+    a1, a2, a3, a4 = e.endpoints
+    mass, _ = quad(lambda u: 1.0 / math.sqrt((u - a1) * (a4 - u)), a2, a3,
+                   weight="alg", wvar=(-0.5, -0.5), epsabs=1e-16, epsrel=1e-14)
+    first, _ = quad(lambda u: u / math.sqrt((u - a1) * (a4 - u)), a2, a3,
+                    weight="alg", wvar=(-0.5, -0.5), epsabs=1e-16, epsrel=1e-14)
+    return first / mass
+
+
+def oracle_density(s, t: np.ndarray) -> np.ndarray:
+    if isinstance(s, PeriodicSet):          # one symmetric arc of half-angle beta
+        beta = s.base.endpoints[1]
+        return np.cos(0.5 * t) / (2 * math.pi * np.sqrt(np.sin(0.5 * (beta - t)) * np.sin(0.5 * (beta + t))))
+    den = np.prod([np.abs(t - a) for a in s.endpoints], axis=0)      # a two-band set
+    return np.abs(t - oracle_gap_point(s)) / (math.pi * np.sqrt(den))
+
+
+def oracle_cheb_sup(p: cheb.Chebyshev, bands) -> float:
+    """max |p| over the bands: band ends and the real parts of the roots of p'
+    that fall inside a band."""
+    crit = p.deriv().roots().real if p.degree() > 1 else np.array([])
+    best = 0.0
+    for lo, hi in bands:
+        x = np.concatenate([[lo, hi], crit[(crit > lo) & (crit < hi)]])
+        best = max(best, float(np.max(np.abs(p(x)))))
+    return best
+
+
+def oracle_trig_derivative(c: np.ndarray) -> np.ndarray:
+    d = np.zeros_like(c)
+    j = np.arange(1, (c.size - 1) // 2 + 1)
+    d[1::2], d[2::2] = j * c[2::2], -j * c[1::2]
+    return d
+
+
+def oracle_trig_sup(c: np.ndarray, bands) -> float:
+    """max |T| over the bands: band ends and the angles of the roots of z^n T'(z)
+    that fall inside a band."""
+    n = (c.size - 1) // 2
+    d = oracle_trig_derivative(c)
+    up = 0.5 * (d[1::2] - 1j * d[2::2])            # z^1 .. z^n of T'
+    zpoly = np.concatenate([np.conj(up)[::-1], [0.0], up])
+    angles = np.angle(np.polynomial.polynomial.polyroots(zpoly))
+    best = 0.0
+    for lo, hi in bands:
+        shifted = lo + np.mod(angles - lo, 2 * math.pi)
+        t = np.concatenate([[lo, hi], shifted[shifted < hi]])
+        best = max(best, float(np.max(np.abs(trig_eval(c, t)))))
+    return best
+
+
+def oracle_circle_sup(c: np.ndarray) -> float:
+    """max |P(z)| on |z| = 1: |P(e^{it})|^2 = sum_m rho_m e^{imt}, so its
+    critical angles are the unimodular roots of sum_m m rho_m z^(m + n)."""
+    n = c.size - 1
+    rho = np.correlate(c, c, "full")            # rho_{-n} .. rho_n
+    roots = np.polynomial.polynomial.polyroots(np.arange(-n, n + 1) * rho) if n else np.array([1.0])
+    z = np.exp(1j * np.concatenate([np.angle(roots), [0.0]]))
+    return float(np.max(np.abs(np.polynomial.polynomial.polyval(z, c))))
+
+
+def oracle_verify(s, inequality, trials, seed, order=2, density_scale=1.0):
+    """(max_ratio, worst_degree, violations, witnesses), one trial at a time."""
+    tol = DEFAULT_TOL
+    bands = ((-math.pi, math.pi),) if inequality in ("trig-full-period", "riesz-circle") else (
+        s.base.bands if isinstance(s, PeriodicSet) else s.bands)
+    probes = np.concatenate([
+        np.linspace(lo + tol.frostman_buffer_rel * (hi - lo), hi - tol.frostman_buffer_rel * (hi - lo), 64)
+        for lo, hi in bands
+    ])
+    if inequality in ("bernstein-szego", "bernstein-alg", "bernstein-trig"):
+        omega = density_scale * oracle_density(s, probes)
+    rng = np.random.default_rng(seed)
+    best, worst_degree, violations, witnesses = -math.inf, 0, [], []
+    for trial in range(trials):
+        n = int(rng.integers(order if inequality == "va-markov" else 1, tol.verify_max_degree + 1))
+        trig = inequality in ("bernstein-trig", "trig-full-period")
+        c = rng.standard_normal(2 * n + 1 if trig else n + 1)
+        if inequality == "riesz-circle":
+            z = np.exp(1j * probes)
+            lhs = np.max(np.abs(np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(c))))
+            ratio = lhs / (n * oracle_circle_sup(c))
+        elif trig:
+            norm = oracle_trig_sup(c, bands)
+            d = oracle_trig_derivative(c)
+            if inequality == "trig-full-period":
+                ratio = oracle_trig_sup(d, bands) / (n * norm)
+            else:
+                ratio = np.max(np.abs(trig_eval(d, probes)) / (2 * math.pi * omega)) / (n * norm)
+        else:
+            p = cheb.Chebyshev(c, domain=s.covering_interval)
+            norm = oracle_cheb_sup(p, bands)
+            dp = p.deriv()(probes)
+            if inequality == "markov-unit":
+                ratio = oracle_cheb_sup(p.deriv(), bands) / (n * n * norm)
+            elif inequality == "va-markov":
+                exact = cheb.Chebyshev.basis(n).deriv(order)(1.0)
+                ratio = oracle_cheb_sup(p.deriv(order), bands) / (exact * norm)
+            elif inequality == "bernstein-unit":
+                ratio = np.max(np.abs(dp) * np.sqrt(1 - probes**2)) / (n * norm)
+            elif inequality == "szego-unit":
+                ratio = np.max((dp * np.sqrt(1 - probes**2)) ** 2 + (n * p(probes)) ** 2) / (n * norm) ** 2
+            elif inequality == "bernstein-szego":
+                ratio = np.max((dp / (math.pi * omega)) ** 2 + (n * p(probes)) ** 2) / (n * norm) ** 2
+            else:
+                ratio = np.max(np.abs(dp) / (math.pi * omega)) / (n * norm)
+        if ratio > best:
+            best, worst_degree = ratio, n
+        if ratio > 1.0 + tol.verify_hard:
+            violations.append((trial, n, float(ratio)))
+            witnesses.append(tuple(float(v) for v in c))
+    return float(best), worst_degree, violations, witnesses
+
+
+class TestVerifyOracle:
+    """verify_inequality reproduces a test-side loop built on numpy.polynomial
+    roots and evaluation, trial by trial."""
+
+    CASES = [(name, s, 1.0) for name, s in VERIFY_SUITE] + [
+        ("bernstein-szego", TWO, 0.5),      # negative controls: the density halved
+        ("bernstein-alg", TWO, 0.5),
+    ]
+
+    @pytest.mark.parametrize("inequality,domain,scale", CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    @pytest.mark.parametrize("seed", [5, 2026])
+    def test_reproduces_per_trial_loop(self, inequality, domain, scale, seed):
+        rep = verify_inequality(domain, inequality, 40, seed, density_scale=scale)
+        best, degree, violations, witnesses = oracle_verify(domain, inequality, 40, seed, density_scale=scale)
+        assert abs(rep.max_ratio - best) <= 1e-12 * best
+        assert rep.worst_degree == degree
+        assert [v[:2] for v in rep.violations] == [v[:2] for v in violations]
+        for got, want in zip(rep.violations, violations):
+            assert abs(got[2] - want[2]) <= 1e-12 * want[2]
+        assert list(rep.witnesses) == witnesses
+        if scale != 1.0:
+            assert violations, "the negative control found no violation"
+
+    def test_gate8_worst_ratios_pinned(self):
+        pinned = (0.987182514266540, 0.982749332493633, 0.921109580650710, 0.999999997389612,
+                  0.999999999846014, 0.877290449996825, 0.817092688934656, 0.964600418356420,
+                  0.986385953042498)
+        for i, ((name, s), want) in enumerate(zip(VERIFY_SUITE, pinned)):
+            rep = verify_inequality(s, name, 1000, 20260800 + i)
+            assert abs(rep.max_ratio - want) <= 1e-13 * want, name
+            assert rep.ok, name
 
 
 class TestVidenskii:

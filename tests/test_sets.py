@@ -19,6 +19,7 @@ from eqmarkov.sets import (
     set_from_json,
     set_to_json,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -229,3 +230,16 @@ def test_wrap_angle():
     assert wrap_angle(-math.pi) == pytest.approx(-math.pi)
     assert wrap_angle(0.3 + 4 * math.pi) == pytest.approx(0.3, abs=1e-12)
     assert wrap_angle(-0.3 - 2 * math.pi) == pytest.approx(-0.3, abs=1e-12)
+
+
+def test_wrap_angles_matches_wrap_angle_bitwise():
+    rng = np.random.default_rng(7)
+    theta = np.concatenate([
+        rng.uniform(-50.0, 50.0, 2000),
+        [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi,
+         np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, -4.0), 1e6 + 0.5],
+    ])
+    got = wrap_angles(theta)
+    want = np.array([wrap_angle(float(t)) for t in theta])
+    assert np.array_equal(got, want)
+    assert np.all((-math.pi <= got) & (got < math.pi))
