@@ -21,9 +21,8 @@ class Tolerances:
     gl_max_points: int = 10000
 
     # Bessel zeros
-    bessel_scan_step: float = 0.1
-    bessel_scan_max: float = 100.0
-    bessel_residual: float = 1e-12
+    bessel_scan_max: float = 100.0       # ceiling on the first zero; a larger one is a NumericFailureError
+    bessel_residual: float = 1e-12       # |J_nu| at a returned zero must stay below this
 
     # LP
     lp_feasibility: float = 1e-9

@@ -10,15 +10,13 @@ handful of primitives in this module.  Conventions:
   * `simplex_solve` maximizes c.x subject to A x <= b with free variables and
     returns a basic (vertex) optimum.
 
-scipy is imported where it is used, never at module level.  Of its users,
-only `bessel_j` and `bessel_smallest_zero` (`jv`) serve the program, through
-the factor catalog.  `simplex_solve` (HiGHS through `linprog`) is the
-test-side oracle for the LP exchange in `extremal`, which runs on numpy;
+The program runs on numpy alone; `bessel_j` and `bessel_smallest_zero` take
+J_nu from Miller's recurrence and the first zero from an eigenvalue.  scipy
+serves only the oracles that tests and the benchmark still look up here by
+name, imported where they are used, never at module level: `simplex_solve`
+(HiGHS through `linprog`, the oracle for the LP exchange in `extremal`),
 `symmetric_eig_max` (the generalized `eigh`) and `gauss_legendre`
-(`roots_legendre`) are oracles for tests and the benchmark.  Everything else
-(Gauss-Chebyshev, Golub-Welsch, the bracketed root finder) runs on numpy
-alone, so building densities or solving an extremal problem never loads
-scipy.
+(`roots_legendre`).
 """
 
 from __future__ import annotations
@@ -203,15 +201,80 @@ def golub_welsch(recurrence: Recurrence, n: int) -> QuadratureRule:
     return QuadratureRule(vals, b[0] * vecs[0, :] ** 2, "golub-welsch-custom")
 
 
+_LN2 = math.log(2.0)
+# Backward recurrence values are rescaled past this; two unchecked steps
+# grow them at most (2 * 300 / 1e-30)^2 times, which stays finite.
+_MILLER_RESCALE = 1e200
+
+
 def bessel_j(order: float, x: float) -> float:
-    """J_order(x) for order > -1 and 0 < x <= 100, |error| <= 1e-12."""
+    """J_order(x) for order > -1 and 0 < x <= 100, |error| <= 1e-12.
+
+    Miller's backward recurrence (Olver & Sookne, Math. Comp. 26, 1972),
+    normalised by Neumann's series; see `_bessel_miller`.  Below x = 1e-30
+    the leading term of the ascending series is exact in floating point.
+    Orders above 200 return 0: there |J_order(x)| <= (x/2)^order /
+    Gamma(order + 1) < 1e-35.
+    """
     if not order > -1.0:
         raise InvalidArgumentError("Bessel order must exceed -1")
     if not 0.0 < x <= 100.0:
         raise InvalidArgumentError("bessel_j argument must be in (0, 100]")
-    from scipy.special import jv
+    if order > 200.0:
+        return 0.0
+    if x < 1e-30:
+        # the next series term is x^2 / (4 (order + 1)) < 1e-44 times this one
+        # (logarithms, so that 0.5 x, x^order and Gamma(order + 1) cannot
+        # leave the float range before they combine)
+        try:
+            return math.exp(order * (math.log(x) - _LN2) - math.log(math.gamma(order + 1.0)))
+        except OverflowError:       # order < 0 at a subnormal x
+            return math.inf
+    n = math.floor(order)
+    return _bessel_miller(order - n, n, x)
 
-    return float(jv(order, x))
+
+def _bessel_miller(mu: float, n: int, x: float) -> float:
+    """J_{mu+n}(x) for 0 <= mu < 1, integer n >= -1 (mu > 0 if n = -1), x >= 1e-30.
+
+    The recurrence f_{k-1} = (2 (mu + k) / x) f_k - f_{k+1}, run down from
+    f_{N+1} = 0, f_N = 1 at an even N ~ max(mu + n, x) + 40 + 2 sqrt(...),
+    gives f_k proportional to J_{mu+k}(x) to working precision.  Neumann's
+    identity fixes the factor:
+        (x/2)^mu / Gamma(mu + 1) = J_mu + sum_{j>=1} (mu + 2j) g_j J_{mu+2j},
+    with g_1 = 1 and g_{j+1} = g_j (mu + j) / (j + 1).  Order mu - 1 takes
+    one more step of the recurrence.
+    """
+    m = max(mu + n, x)
+    top = 2 * int(0.5 * m + 20.0 + math.sqrt(m))
+    two_x = 2.0 / x
+    f_up, f = 0.0, 1.0          # f_{k+1}, f_k for k = top
+    g = 1.0                     # g_{k/2}, up to a factor fixed at the end
+    s = (mu + top) * f          # the Neumann sum over even indices k..top, same factor
+    target = 0.0                # f_n
+    for k in range(top, 2, -2):
+        a = mu + k
+        f_up, f = f, a * two_x * f - f_up
+        if k - 1 == n:
+            target = f
+        f_up, f = f, (a - 1.0) * two_x * f - f_up
+        if k - 2 == n:
+            target = f
+        g *= k / (a + mu - 2.0)                 # g_{j-1} / g_j = j / (mu + j - 1), j = k/2
+        s += (a - 2.0) * g * f
+        if abs(f) > _MILLER_RESCALE:
+            f, f_up = f / _MILLER_RESCALE, f_up / _MILLER_RESCALE
+            s, target = s / _MILLER_RESCALE, target / _MILLER_RESCALE
+    f_up, f = f, (mu + 2.0) * two_x * f - f_up      # f_1
+    f_up, f = f, (mu + 1.0) * two_x * f - f_up      # f_0
+    if n == 0:
+        target = f
+    elif n == 1:
+        target = f_up
+    elif n == -1:
+        target = mu * two_x * f - f_up
+    # the loop ended with g = g_1 (which is 1) times the common factor
+    return target * (0.5 * x) ** mu / (math.gamma(mu + 1.0) * (f + s / g))
 
 
 @dataclass(frozen=True)
@@ -231,33 +294,70 @@ class BesselZero:
             )
 
 
-def bessel_smallest_zero(kappa: float, *, tol: Tolerances = DEFAULT_TOL) -> BesselZero:
-    """Smallest positive zero of J_{(kappa-1)/2}, located by sign scan.
+# Relative half-width of the sign-change certificate around the eigenvalue
+# estimate (see `bessel_smallest_zero`).
+_ZERO_BRACKET = 64.0 * float(np.finfo(float).eps)
 
-    J_nu is positive on (0, first zero) for nu > -1, so the first sign change
-    of a 0.1-step scan brackets the zero; the bracket is then polished to
-    machine accuracy.
+
+def _ikebe_zero_estimate(h: float) -> float:
+    """First zero of J_nu, h = nu + 1 > 0, from a truncated Ikebe matrix.
+
+    Ikebe, Kikuchi & Fujishiro (J. Comput. Appl. Math. 38, 1991): the
+    symmetric tridiagonal matrix with d_k = 2 / ((nu+2k-1)(nu+2k+1)) on the
+    diagonal and e_k = 1 / ((nu+2k+1) sqrt((nu+2k)(nu+2k+2))) off it has the
+    eigenvalues 4 / j_{nu,k}^2.  A leading principal block has a smaller
+    largest eigenvalue, so the estimate lies above j_{nu,1}; about nu/2 + 20
+    rows make the difference negligible.  Entries are formed from h, so that
+    nu + 1 keeps its digits as nu -> -1.
+    """
+    rows = int(0.5 * h) + 20
+    c = h + 2.0 * np.arange(rows + 1)            # nu + 2k - 1, k = 1..rows+1
+    d = 2.0 / (c[:-1] * c[1:])
+    inner = c[1:-1]
+    e = 1.0 / (inner * np.sqrt((inner - 1.0) * (inner + 1.0)))
+    t = np.zeros((rows, rows))
+    t.flat[:: rows + 1] = d
+    t.flat[1 :: rows + 1] = e
+    t.flat[rows :: rows + 1] = e
+    return 2.0 / math.sqrt(float(np.linalg.eigvalsh(t)[-1]))
+
+
+def bessel_smallest_zero(kappa: float, *, tol: Tolerances = DEFAULT_TOL) -> BesselZero:
+    """Smallest positive zero of J_{(kappa-1)/2}, from an eigenvalue and certified.
+
+    The estimate g comes from the Ikebe matrix (`_ikebe_zero_estimate`), J_nu
+    from Miller's recurrence (`_bessel_miller`).  J_nu is positive on
+    (0, j_{nu,1}) and negative just past it, and g converges to j_{nu,1} from
+    above, so the zero is certified when J_nu > 0 at g (1 - delta), J_nu < 0
+    at g (1 + delta), delta = 64 eps, and |J_nu(g)| < tol.bessel_residual; the
+    order of the signs also rules out the second zero.  No polishing step is
+    needed: the estimate passes with delta = 16 eps for kappa in (-1, 183].
+    A failed certificate, or a zero above tol.bessel_scan_max, raises
+    NumericFailureError.
     """
     if not kappa > -1.0:
         raise InvalidArgumentError("kappa must exceed -1")
-    from scipy.special import jv
-
     order = 0.5 * (kappa - 1.0)
-    # 1e-6 stands in for 0+; the zero collapses toward 0 only as kappa -> -1.
-    grid = np.concatenate(([1e-6], np.arange(tol.bessel_scan_step, tol.bessel_scan_max + 1e-9, tol.bessel_scan_step)))
-    prev_x = grid[0]
-    prev_f = jv(order, prev_x)
-    for x in grid[1:]:
-        f = jv(order, x)
-        if f == 0.0:
-            return BesselZero(order, float(x), 0.0, tol.bessel_residual)
-        if prev_f * f < 0:
-            root = find_root_bracketed(lambda t: float(jv(order, t)), prev_x, x, tol=tol)
-            return BesselZero(order, root, abs(float(jv(order, root))), tol.bessel_residual)
-        prev_x, prev_f = x, f
-    raise NumericFailureError(
-        f"no sign change of J_{order} found in (0, {tol.bessel_scan_max}]"
-    )
+    # j_{nu,1} > nu, which also keeps the Ikebe matrix small
+    if not order < tol.bessel_scan_max:
+        raise NumericFailureError(
+            f"the first zero of J_{order} lies above {tol.bessel_scan_max}"
+        )
+    h = 0.5 * (kappa + 1.0)                      # nu + 1, exact as kappa -> -1
+    zero = _ikebe_zero_estimate(h)
+    if zero > tol.bessel_scan_max:
+        raise NumericFailureError(
+            f"the first zero of J_{order} lies above {tol.bessel_scan_max}"
+        )
+    whole = math.floor(h)
+    mu, n = h - whole, whole - 1
+
+    def j(x: float) -> float:
+        return _bessel_miller(mu, n, x)
+
+    if not j(zero * (1.0 - _ZERO_BRACKET)) > 0.0 > j(zero * (1.0 + _ZERO_BRACKET)):
+        raise NumericFailureError(f"J_{order} does not change sign about {zero!r}")
+    return BesselZero(order, zero, abs(j(zero)), tol.bessel_residual)
 
 
 @dataclass(frozen=True)

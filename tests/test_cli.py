@@ -342,6 +342,34 @@ class TestPlumbing:
         assert code == 2
 
 
+class TestFactorsBesselRange:
+    """The weighted L2 Markov factor on [-1, 1] with both exponents kappa is
+    0.5 / j_{(kappa-1)/2,1}; the zero is certified in (0, 100] or the run
+    fails with exit 3, never with a number."""
+
+    # 0.5 / j_{nu,1} from mpmath at 30 digits (besseljzero for nu >= 0, a
+    # bracketed findroot below)
+    CERTIFIED = {
+        "-0.99999999999999": 3536947.690441295,
+        "-0.9999999999": 35355.33759622859,
+        "183": 0.005021255531259193,
+    }
+
+    @pytest.mark.parametrize("kappa", sorted(CERTIFIED))
+    def test_certified_zero(self, capsys, kappa):
+        code, out, err = run(capsys, "factors", "--set", UNIT, "--alpha", kappa, "--beta-exp", kappa)
+        assert code == 0 and err == ""
+        (entry,) = [e for e in json.loads(out)["entries"] if e["kind"] == "l2-markov-weighted"]
+        assert entry["value"] == pytest.approx(self.CERTIFIED[kappa], rel=1e-13)
+
+    @pytest.mark.parametrize("kappa", ["184", "250", "400", "1000"])
+    def test_zero_above_ceiling_exits_3(self, capsys, kappa):
+        code, out, err = run(capsys, "factors", "--set", UNIT, "--alpha", kappa)
+        assert code == 3
+        assert out == ""
+        assert "above 100" in err
+
+
 # Runs CLI subcommands in one fresh interpreter and reports which scipy
 # modules each has loaded by the time it returns.
 _COLD_SCRIPT = """
@@ -368,8 +396,8 @@ def _scipy_loaded_after(*argvs) -> dict:
 
 
 class TestColdStart:
-    """The closed-form route and the brute-force oracles run on numpy alone;
-    of the subcommands, only factors loads scipy, for its Bessel functions."""
+    """Every subcommand runs on numpy alone: the closed-form route, the
+    brute-force oracles and the Bessel zeros behind factors."""
 
     def test_closed_form_subcommands_never_load_scipy(self):
         loaded = _scipy_loaded_after(
@@ -387,7 +415,12 @@ class TestColdStart:
         )
         assert loaded == {"extremal": []}
 
-    def test_factors_loads_special_but_not_optimize(self):
-        loaded = _scipy_loaded_after(["factors", "--set", UNIT])["factors"]
-        assert "scipy.special" in loaded
-        assert "scipy.optimize" not in loaded
+    def test_factors_never_loads_scipy(self):
+        # the benchmark's cold factors run (L2 factors included), then a
+        # Jacobi weight on its own; the list is what both leave loaded
+        loaded = _scipy_loaded_after(
+            ["factors", "--set", UNIT, "--n", "8", "--k", "2", "--point", "0.3",
+             "--alpha", "0.4", "--beta-exp", "0.7"],
+            ["factors", "--set", UNIT, "--alpha", "0.4", "--beta-exp", "0.7"],
+        )
+        assert loaded == {"factors": []}

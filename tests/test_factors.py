@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from eqmarkov.equilibrium import collocation_density, interval_density
-from eqmarkov.errors import DomainError, InvalidArgumentError
+from eqmarkov.errors import DomainError, InvalidArgumentError, NumericFailureError
 from eqmarkov.factors import (
     FactorReport,
     Weight,
@@ -296,6 +296,24 @@ class TestL2Factors:
         assert abs(nu_exponent(0.0) - 0.5 * math.pi) < 1e-12
         assert abs(nu_exponent(1.0) - 2.404825557695773) < 1e-10
         assert abs(nu_exponent(2.0) - math.pi) < 1e-12
+
+    # 0.5 / j_{(kappa-1)/2,1} from mpmath at 30 digits; the zero drops below
+    # 1e-7 as kappa -> -1 and reaches 99.58 at kappa = 183
+    @pytest.mark.parametrize("kappa, value", [
+        (-1.0 + 1e-14, 3536947.690441295),
+        (-1.0 + 1e-10, 35355.33759622859),
+        (183.0, 0.005021255531259193),
+    ])
+    def test_weighted_factor_at_the_ends_of_the_bessel_range(self, kappa, value):
+        report = l2_markov_constant(UNIT, Weight.jacobi(kappa, kappa))
+        assert report.value == pytest.approx(value, rel=1e-13)
+
+    @pytest.mark.parametrize("kappa", [184.0, 250.0, 400.0, 1000.0])
+    def test_zero_above_the_ceiling_is_a_typed_failure(self, kappa):
+        with pytest.raises(NumericFailureError, match="above"):
+            nu_exponent(kappa)
+        with pytest.raises(NumericFailureError, match="above"):
+            l2_markov_constant(UNIT, Weight.jacobi(kappa, 0.0))
 
     def test_unit_interval_unweighted(self):
         report = l2_markov_constant(UNIT)

@@ -5,6 +5,8 @@ Independent oracles used here:
   * QUADPACK adaptive endpoint-weighted quadrature for the Jacobi rule;
   * an ascending power series for J_nu (written here, never scipy) plus
     bisection, as the reference for Bessel values and the smallest J_0 zero;
+  * mpmath (besselj, besseljzero, a bracketed findroot) and scipy's jv for
+    J_nu and its first zero over the whole order range;
   * sign-change bisection on det(A - t B) for the eigenpencil;
   * scipy's brentq and jv for the bracketed root finder (imported here only;
     the library's closed-form route does not load scipy).
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import jv
 
+import eqmarkov.numerics as numerics
 from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.errors import InvalidArgumentError, NumericFailureError
 from eqmarkov.numerics import (
@@ -133,6 +139,34 @@ class TestGolubWelsch:
             golub_welsch(Recurrence(rec.a, bad), 5)
 
 
+def mpmath_first_zero(kappa: float, dps: int = 30) -> float:
+    """j_{nu,1} for nu = (kappa - 1)/2, from mpmath alone.
+
+    For -1 < nu < 0 the first zero is the only one below j_{0,1} (interlacing:
+    j_{nu,2} > j_{nu+1,1} > j_{0,1}), and J_nu > 0 before it; halving from
+    j_{0,1} finds a point where J_nu > 0, which brackets the zero.
+    """
+    with mpmath.workdps(dps):
+        nu = (mpmath.mpf(kappa) - 1) / 2
+        if nu >= 0:
+            return float(mpmath.besseljzero(nu, 1))
+        hi = mpmath.besseljzero(0, 1)
+        lo = hi / 2
+        while mpmath.besselj(nu, lo) <= 0:
+            lo /= 2
+        return float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), (lo, hi), solver="anderson"))
+
+
+# kappa whose first zero lies in (0, 100]; 183 is the last integer, and the
+# zero drops below 1e-7 as kappa -> -1
+CERTIFIED_KAPPAS = (
+    -1.0 + 1e-14, -1.0 + 1e-10, math.nextafter(-1.0, 0.0), -0.99, -0.5, 0.0, 0.5,
+    0.99, 1.0, 2.0, 5.0, 20.0, 60.0, 150.0, 180.0, 183.0,
+)
+# first zeros above bessel_scan_max = 100 (j_{91.5,1} = 100.09)
+ABOVE_CEILING_KAPPAS = (184.0, 250.0, 400.0, 1000.0, math.inf)
+
+
 class TestBessel:
     def test_half_order_closed_forms(self):
         # J_{-1/2}(x) = sqrt(2/(pi x)) cos x, J_{1/2}(x) = sqrt(2/(pi x)) sin x
@@ -187,6 +221,70 @@ class TestBessel:
     def test_zero_monotone_in_kappa(self):
         zeros = [bessel_smallest_zero(k).zero for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
         assert all(a < b for a, b in zip(zeros, zeros[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.floats(-1.0, 90.0, exclude_min=True), t=st.floats(0.0, 1.0, exclude_min=True))
+    @example(order=0.0, t=0.0253)                     # 1.05 j_{0,1}
+    @example(order=90.0, t=1.0)                       # x = 100, below j_{90,1}
+    @example(order=-0.999999999999995, t=1.5e-9)      # near the zero at 1.41e-7
+    @example(order=-0.75, t=5e-324)                   # a subnormal x
+    @example(order=45.5, t=0.5)
+    def test_bessel_j_matches_mpmath_and_scipy(self, order, t):
+        x = 100.0 * t
+        want = float(mpmath.besselj(order, x))
+        got = bessel_j(order, x)
+        # 1e-12 absolute, relative where |J| > 1 (order < 0 near x = 0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if x > 1e-300 and not 0.0 < abs(order) < 1e-300:
+            # scipy's jv gives 0 or inf for a subnormal x or order
+            assert got == pytest.approx(float(jv(order, x)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [-0.9, -0.5, 0.0, 0.7, 3.0, 17.25, 60.0, 89.5])
+    @pytest.mark.parametrize("frac", [1e-6, 0.3, 0.999, 1.0, 1.001, 1.05])
+    def test_bessel_j_up_to_just_past_the_first_zero(self, order, frac):
+        x = min(100.0, frac * mpmath_first_zero(2.0 * order + 1.0))
+        want = float(mpmath.besselj(order, x))
+        assert bessel_j(order, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", CERTIFIED_KAPPAS)
+    def test_zero_matches_mpmath(self, kappa):
+        z = bessel_smallest_zero(kappa)
+        assert z.zero == pytest.approx(mpmath_first_zero(kappa), rel=1e-13)
+        assert z.residual < DEFAULT_TOL.bessel_residual
+        assert z.zero <= DEFAULT_TOL.bessel_scan_max
+
+    @pytest.mark.parametrize("kappa", ABOVE_CEILING_KAPPAS)
+    def test_zero_above_ceiling_is_a_typed_failure(self, kappa):
+        with pytest.raises(NumericFailureError, match="above"):
+            bessel_smallest_zero(kappa)
+
+    def test_lower_ceiling_is_honoured(self):
+        assert bessel_smallest_zero(20.0).zero < 14.0
+        with pytest.raises(NumericFailureError, match="above"):
+            bessel_smallest_zero(20.0, tol=Tolerances(bessel_scan_max=13.9))
+
+    @pytest.mark.parametrize("kappa", [-1.0 + 1e-14, 1.0, 60.0])
+    @pytest.mark.parametrize("shift", [1e-10, -1e-10])
+    def test_certificate_rejects_an_estimate_off_the_zero(self, kappa, shift, monkeypatch):
+        # 1e-10 off the zero, J_nu has one sign on both sides of the estimate
+        estimate = bessel_smallest_zero(kappa).zero * (1.0 + shift)
+        monkeypatch.setattr(numerics, "_ikebe_zero_estimate", lambda h: estimate)
+        with pytest.raises(NumericFailureError, match="sign"):
+            bessel_smallest_zero(kappa)
+
+    @pytest.mark.parametrize("kappa", [1.0, 60.0])
+    def test_certificate_rejects_the_second_zero(self, kappa, monkeypatch):
+        # J_nu changes sign there too, but from negative to positive
+        second = float(mpmath.besseljzero(0.5 * (kappa - 1.0), 2))
+        monkeypatch.setattr(numerics, "_ikebe_zero_estimate", lambda h: second)
+        with pytest.raises(NumericFailureError, match="sign"):
+            bessel_smallest_zero(kappa)
+
+    def test_orders_above_200_are_below_resolution(self):
+        # |J_order(x)| <= (x/2)^order / Gamma(order + 1) < 1e-35 for x <= 100
+        assert abs(float(mpmath.besselj(200.5, 100.0))) < 1e-35
+        for order in (200.5, 1e6, 1e300):
+            assert bessel_j(order, 100.0) == 0.0
 
 
 class TestSimplex:
