@@ -28,10 +28,13 @@ at any set of points; the Frostman certificate and the collocation solve both
 use it, so the equation the oracle solves is the one every density is checked
 against.
 
-Certificates. Every constructed density is checked two ways: total mass 1 (by
-independent cosine-substitution quadrature) and constancy of the log potential
-over interior probes (Frostman property).  A density object that fails either
-check is not returned; the builders raise instead.
+Certificates. Every constructed density is checked two ways: total mass 1 and
+constancy of the log potential over interior probes (Frostman property).  The
+mass is pi * sum_k half_k c_{k,0}, the exact integral of the stored expansion.
+For the closed forms c_0 is a Gauss-Chebyshev mean of the closed-form G, so
+the mass checks the formula; for collocation the mass row imposes it, and the
+Frostman check is the one that tests the solve.  A density object that fails
+either check is not returned; the builders raise instead.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def _sqrt_weight_integral(
     lo: float,
     hi: float,
     tol: Tolerances = DEFAULT_TOL,
-) -> float:
+) -> float | np.ndarray:
     """int_lo^hi g(u)/sqrt((u-lo)(hi-u)) du for analytic g.
 
     With u = c + r x this is int_{-1}^{1} g(c + r x)/sqrt(1-x^2) dx, which the
@@ -95,7 +98,11 @@ def _sqrt_weight_integral(
     analytic g (Trefethen & Weideman, SIAM Review 2014).  The rule's nodes are
     exactly antisymmetric, so symmetric sets cancel odd integrands in floating
     point.  Doubling from quad_initial_points until the value moves by less
-    than quad_rel.
+    than quad_rel * max(1, |value|).
+
+    g may return a stack of rows, one integrand per row: the result is then
+    the array of their integrals, and the doubling stops only when every
+    component has settled.  A scalar integrand gives a float.
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
@@ -103,9 +110,9 @@ def _sqrt_weight_integral(
     prev = None
     while n <= tol.quad_max_points:
         rule = gauss_chebyshev(n)
-        val = float(rule.weights @ np.asarray(g(c + r * rule.nodes), dtype=float))
-        if prev is not None and abs(val - prev) < tol.quad_rel * max(1.0, abs(val)):
-            return val
+        val = np.asarray(g(c + r * rule.nodes), dtype=float) @ rule.weights
+        if prev is not None and np.all(abs(val - prev) < tol.quad_rel * np.maximum(1.0, abs(val))):
+            return float(val) if val.ndim == 0 else val
         prev = val
         n *= 2
     raise NumericFailureError("singular band quadrature did not converge")
@@ -122,9 +129,13 @@ def _cheb_log_integrals(sigma: np.ndarray, pmax: int) -> np.ndarray:
     out[inside, 0] = -math.pi * math.log(2.0)
     out[inside, 1:] = -math.pi * np.cos(np.outer(theta, p)) / p
     s_out = sigma[~inside]
-    zeta = np.copysign(np.abs(s_out) + np.sqrt(s_out * s_out - 1.0), s_out)
+    a = np.abs(s_out)
+    # sigma^2 - 1 as (|sigma| - 1)(|sigma| + 1): the first factor is exact
+    # near the band ends, where sigma^2 - 1 would cancel
+    zeta = np.copysign(a + np.sqrt((a - 1.0) * (a + 1.0)), s_out)
     out[~inside, 0] = math.pi * np.log(0.5 * np.abs(zeta))
-    out[~inside, 1:] = -math.pi * (1.0 / zeta[:, None]) ** p / p
+    inv = np.broadcast_to(1.0 / zeta[:, None], (zeta.size, pmax))
+    out[~inside, 1:] = -math.pi * np.cumprod(inv, axis=1) / p
     return out
 
 
@@ -246,11 +257,11 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
     if m == 1:
         return []
     npoly = m - 1
+    powers = np.arange(npoly + 1)[:, None]
     moments = np.empty((npoly, npoly + 1))
     for j, (glo, ghi) in enumerate(e.gaps):
         w = _gap_weight(e, j)
-        for p in range(npoly + 1):
-            moments[j, p] = _sqrt_weight_integral(lambda u, p=p: u**p * w(u), glo, ghi, tol)
+        moments[j] = _sqrt_weight_integral(lambda u: u**powers * w(u), glo, ghi, tol)
     a = moments[:, :npoly]
     rhs = -moments[:, npoly]
     if np.linalg.cond(a) > 1e12:
@@ -444,16 +455,17 @@ def _interval_regular(e: IntervalUnion, xi: Sequence[float], k: int) -> Callable
     return g
 
 
-def _band_mass(bands: tuple[_Band, ...], band_geometry: tuple, tol: Tolerances) -> float:
-    """Total mass by independent cosine-substitution quadrature per band."""
-    total = 0.0
-    for b, (lo, hi) in zip(bands, band_geometry):
-        def g(u, b=b):
-            s = (u - b.center) / b.half
-            return b.half * _cheb.chebval(s, b.coeffs)
+def _band_mass(bands: tuple[_Band, ...]) -> float:
+    """Total mass pi * sum_k half_k * c_{k,0}.
 
-        total += _sqrt_weight_integral(g, lo, hi, tol)
-    return total
+    The band integral of G(s)/sqrt(1-s^2) is pi times the constant Chebyshev
+    coefficient of G, and the Gauss-Chebyshev doubling this replaces could
+    only return that: an n-point rule integrates T_p exactly unless p is a
+    nonzero multiple of 2n.  The certificate is not empty for the closed
+    forms, whose c_0 is the (deg+1)-point Gauss-Chebyshev mean of the
+    closed-form G.  For collocation the mass row makes it 1 by construction.
+    """
+    return math.pi * sum(b.half * float(b.coeffs[0]) for b in bands)
 
 
 _ARC_QUAD_POINTS = 256
@@ -567,7 +579,7 @@ def interval_density(
         return num / (math.pi * np.sqrt(den))
 
     density = _certified(EquilibriumDensity(
-        set=e, geometry="line", xi=tuple(xi), mass=_band_mass(bands, e.bands, tol),
+        set=e, geometry="line", xi=tuple(xi), mass=_band_mass(bands),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
         _eval_array=evaluate_array,
     ), tol, validate)
@@ -615,7 +627,7 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         return np.cos(0.5 * t) / (2.0 * math.pi * np.sqrt(den))
 
     return _certified(EquilibriumDensity(
-        set=a, geometry="circle", xi=(), mass=_band_mass(bands, a.arcs, tol),
+        set=a, geometry="circle", xi=(), mass=_band_mass(bands),
         frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
         _eval_array=evaluate_array,
     ), tol, True)
@@ -723,7 +735,7 @@ def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> 
         return out
 
     return _certified(EquilibriumDensity(
-        set=s, geometry=geometry, xi=(), mass=_band_mass(bands, band_spans, tol),
+        set=s, geometry=geometry, xi=(), mass=_band_mass(bands),
         frostman_spread=math.nan, method="collocation", bands=bands, _eval=evaluate,
         _eval_array=evaluate_array,
     ), tol, True)

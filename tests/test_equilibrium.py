@@ -1,10 +1,12 @@
 """Equilibrium densities against independent oracles and closed-form limits.
 
 Oracles used here and nowhere in the library:
-  * QUADPACK (scipy.integrate.quad) with an explicit substitution for masses
-    and gap conditions, against the library's Gauss-Chebyshev doubling;
+  * QUADPACK (scipy.integrate.quad) with an explicit substitution or an
+    algebraic weight for masses and gap conditions, against the library's
+    constant Chebyshev coefficients and Gauss-Chebyshev moment doubling;
   * mpmath at 30 digits (tanh-sinh quadrature of the gap conditions and
-    findroot on xi directly, with no moment system) for the gap points;
+    findroot on xi directly, with no moment system) for the gap points, and
+    tanh-sinh quadrature of the log-potential kernel integrals;
   * the square-map identity for symmetric two-interval sets, which gives the
     density without any gap-point computation;
   * known potential constants: log 2 on [-1, 1], -log sin(beta/2) on the
@@ -17,11 +19,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.equilibrium import (
     EndpointData,
+    _cheb_coeffs_of,
+    _cheb_log_integrals,
+    _gap_weight,
+    _interval_regular,
+    _sqrt_weight_integral,
     arc_density,
     circle_density,
     collocation_density,
@@ -39,11 +48,13 @@ from eqmarkov.equilibrium import (
     solve_xi,
 )
 from eqmarkov.errors import DomainError, InvalidArgumentError, NumericFailureError
+from eqmarkov.numerics import find_root_bracketed
 from eqmarkov.sets import ArcUnion, Circle, IntervalUnion, Lemniscate, affine_image
 
 UNIT = IntervalUnion((-1.0, 1.0))
 SPLIT = IntervalUnion((-1.0, -0.5, 0.5, 1.0))          # symmetric, a = 1/2
 TWOBAND = IntervalUnion((-1.0, -0.3, 0.2, 1.0))
+NARROW = IntervalUnion((-1.0, -0.4, -0.399, 0.25, 0.3, 1.0))   # a gap of 1e-3
 
 
 def square_map_density(a: float, t: float) -> float:
@@ -501,3 +512,209 @@ class TestArrayEvaluate:
             circle_density(Circle(2.0)).evaluate(np.array([2j, -2j]))
         with pytest.raises(InvalidArgumentError):
             lemniscate_density(Lemniscate((0.0, 0.0, 1.0))).evaluate([1.0 + 0j])
+
+
+def mpmath_log_integral(sigma: float, p: int, dps: int = 30) -> float:
+    """int_0^pi cos(p theta) log|sigma - cos theta| d theta for sigma >= 0,
+    by tanh-sinh with one piece per period of cos(p theta).
+
+    For sigma >= 1, sigma - cos theta is written (sigma - 1) + 2 sin^2(theta/2),
+    which does not cancel near theta = 0; at sigma = 1 the log singularity is
+    theta = 0 itself, the lower end of the first piece.  Inside the band, the
+    integral is split at
+    theta_0 = arccos(sigma) and taken in u = |theta - theta_0|, with
+    sigma - cos theta = 2 sin((theta + theta_0)/2) sin(u/2): the log
+    singularity sits at u = 0, where no abscissa lands, and nothing cancels
+    next to it."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(sigma)
+
+        def pieces(length):
+            k = max(1, math.ceil(float(length) * p / (2.0 * math.pi)))
+            return [length * i / k for i in range(k + 1)]
+
+        if s >= 1:
+            def f(theta):
+                return mpmath.cos(p * theta) * mpmath.log((s - 1) + 2 * mpmath.sin(theta / 2) ** 2)
+
+            return float(mpmath.quad(f, pieces(mpmath.pi)))
+        theta0 = mpmath.acos(s)
+
+        def g(theta, u):
+            return mpmath.cos(p * theta) * mpmath.log(
+                2 * mpmath.sin((theta + theta0) / 2) * mpmath.sin(u / 2))
+
+        left = mpmath.quad(lambda u: g(theta0 - u, u), pieces(theta0))
+        right = mpmath.quad(lambda u: g(theta0 + u, u), pieces(mpmath.pi - theta0))
+        return float(left + right)
+
+
+def assert_kernel_matches_oracle(sigma: float, pmax: int, ps) -> None:
+    """Rows at +sigma and -sigma against the oracle at |sigma|, through the
+    reflection I_p(-sigma) = (-1)^p I_p(sigma) (theta -> pi - theta)."""
+    rows = _cheb_log_integrals(np.array([sigma, -sigma]), pmax)
+    assert rows.shape == (2, pmax + 1)
+    for p in ps:
+        want = mpmath_log_integral(abs(sigma), p)
+        for row, sign in zip(rows, (1.0, (-1.0) ** p)):
+            assert abs(row[p] - sign * want) <= 2e-15 * max(1.0, abs(want)), (sigma, p, row[p], want)
+
+
+class TestLogKernelOracle:
+    """_cheb_log_integrals against 30-digit quadrature, on both sides of the
+    band ends where the exterior Joukowski image would lose digits to
+    sigma^2 - 1 cancelling."""
+
+    @pytest.mark.parametrize("sigma", [
+        0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.5, 10.0, 1e3, 1e8,
+    ])
+    def test_rows_at_fixed_points(self, sigma):
+        assert_kernel_matches_oracle(sigma, 520, (0, 1, 2, 3, 10, 64))
+
+    @pytest.mark.parametrize("sigma", [1.0 + 1e-9, 1.0 + 1e-6])
+    def test_high_order_next_to_a_band_end(self, sigma):
+        # zeta^-520 is still about 1 here, so every factor of the product counts
+        assert_kernel_matches_oracle(sigma, 520, (520,))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        magnitude=st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(-12.0, -1.0).map(lambda k: 1.0 - 10.0**k),
+            st.floats(-12.0, 0.0).map(lambda k: 1.0 + 10.0**k),
+            st.floats(0.0, 8.0).map(lambda k: 1.0 + 10.0**k),
+        ),
+        pmax=st.integers(1, 40),
+    )
+    def test_random_points_and_orders(self, magnitude, pmax):
+        assert_kernel_matches_oracle(magnitude, pmax, sorted({0, 1, pmax}))
+
+
+class TestStackedQuadrature:
+    COMPONENTS = (np.exp, lambda u: 1.0 / (1.5 - u), lambda u: np.cos(7.0 * u))
+
+    def stack(self, u):
+        return np.stack([f(u) for f in self.COMPONENTS])
+
+    def test_stack_matches_scalar_calls(self):
+        tol = DEFAULT_TOL
+        got = _sqrt_weight_integral(self.stack, -1.0, 0.5, tol)
+        assert got.shape == (len(self.COMPONENTS),)
+        for f, value in zip(self.COMPONENTS, got):
+            want = _sqrt_weight_integral(f, -1.0, 0.5, tol)
+            assert type(want) is float
+            assert abs(value - want) <= tol.quad_rel * max(1.0, abs(want))
+
+    def test_one_unsettled_component_fails_the_stack(self):
+        def kinked(u):
+            return np.abs(u - 0.1234)       # a kink: algebraic convergence only
+
+        with pytest.raises(NumericFailureError, match="did not converge"):
+            _sqrt_weight_integral(kinked, -1.0, 0.5)
+        with pytest.raises(NumericFailureError, match="did not converge"):
+            _sqrt_weight_integral(lambda u: np.vstack([self.stack(u), kinked(u)]), -1.0, 0.5)
+
+
+def closed_form_unions(seed: int) -> list:
+    """The benchmark's twelve seeded closed_form unions (1-4 bands, three of
+    each): band lengths from [0.6, 1], gaps from [0.3, 0.6], scaled to [-1, 1]."""
+    rng = np.random.default_rng([seed, 1])
+    unions = []
+    for m in (1, 2, 3, 4):
+        for _ in range(3):
+            lengths = rng.uniform(0.6, 1.0, m)
+            gaps = rng.uniform(0.3, 0.6, m - 1)
+            pieces = np.empty(2 * m - 1)
+            pieces[0::2] = lengths
+            pieces[1::2] = gaps
+            points = np.concatenate([[0.0], np.cumsum(pieces)])
+            points = -1.0 + 2.0 * points / points[-1]
+            points[0], points[-1] = -1.0, 1.0
+            unions.append(IntervalUnion(tuple(float(x) for x in points)))
+    return unions
+
+
+def per_moment_gap_points(e: IntervalUnion) -> list:
+    """xi from one quadrature run per moment u^p w(u), then the same solve
+    and bracketed roots as the library."""
+    npoly = e.m - 1
+    moments = np.array([
+        [_sqrt_weight_integral(lambda u, p=p, w=_gap_weight(e, j): u**p * w(u), glo, ghi)
+         for p in range(npoly + 1)]
+        for j, (glo, ghi) in enumerate(e.gaps)
+    ])
+    poly = np.append(np.linalg.solve(moments[:, :npoly], -moments[:, npoly]), 1.0)
+    return [
+        find_root_bracketed(lambda u: float(np.polynomial.polynomial.polyval(u, poly)), glo, ghi)
+        for glo, ghi in e.gaps
+    ]
+
+
+class TestGapMomentsInOnePass:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_moment_loop(self, seed):
+        unions = closed_form_unions(seed)
+        for e in unions[3:] + [affine_image(unions[3], 2.5, -1.3)]:
+            got = solve_xi(e)
+            want = per_moment_gap_points(e)
+            assert len(got) == e.m - 1
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14
+
+
+def gauss_chebyshev_doubling_mass(d) -> float:
+    """The band masses by Gauss-Chebyshev doubling (64, 128, ... points) of
+    half * G on each band, stopping when the value moves by less than 1e-12."""
+    total = 0.0
+    for b in d.bands:
+        n, prev = 64, None
+        while True:
+            nodes = np.cos((2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
+            val = math.pi / n * float(np.sum(b.half * np.polynomial.chebyshev.chebval(nodes, b.coeffs)))
+            if prev is not None and abs(val - prev) < 1e-12 * max(1.0, abs(val)):
+                break
+            prev, n = val, 2 * n
+        total += val
+    return total
+
+
+class TestBandMass:
+    """The mass is pi * sum_k half_k c_{k,0}.
+
+    Wrong gap points are not a test of it: on a two-band set the mass does
+    not depend on xi.  interval_density(TWOBAND, xi_override=[xi + 0.05],
+    validate=False).mass reads 1.0, QUADPACK on its regular parts agrees to
+    9e-15, and only the Frostman check (spread 0.16) rejects it."""
+
+    @staticmethod
+    def regular_parts(e):
+        xi = solve_xi(e)
+        return [_interval_regular(e, xi, k) for k in range(e.m)]
+
+    @pytest.mark.parametrize("label", ["twoband", "narrow", "pole"])
+    def test_constant_coefficient_against_quadpack(self, label):
+        if label == "pole":
+            parts = [lambda s: 1.0 / (1.01 - np.asarray(s))]
+        else:
+            parts = self.regular_parts(TWOBAND if label == "twoband" else NARROW)
+        degrees = []
+        for g in parts:
+            coeffs = _cheb_coeffs_of(g, DEFAULT_TOL)
+            degrees.append(coeffs.size - 1)
+            want, err = quad(lambda s: float(g(s)), -1.0, 1.0, weight="alg", wvar=(-0.5, -0.5),
+                             epsabs=1e-15, epsrel=1e-13, limit=500)
+            assert abs(math.pi * coeffs[0] - want) <= 1e-12 * abs(want)
+        if label != "twoband":
+            assert max(degrees) > 128      # past the 64- and 128-point rules
+        if label == "pole":
+            assert abs(math.pi * coeffs[0] - math.pi / math.sqrt(1.01**2 - 1.0)) <= 1e-12 * want
+
+    @pytest.mark.parametrize("build", [
+        lambda: interval_density(TWOBAND),
+        lambda: interval_density(NARROW),
+        lambda: arc_density(ArcUnion((-1.4, 2.0))),
+        lambda: collocation_density(TWOBAND),
+        lambda: collocation_density(ArcUnion((-2.0, -1.0, 1.0, 2.0))),
+    ], ids=["interval", "narrow", "arc", "collocation-line", "collocation-arcs"])
+    def test_mass_equals_quadrature_of_the_stored_coefficients(self, build):
+        d = build()
+        assert abs(d.mass - gauss_chebyshev_doubling_mass(d)) <= 1e-13
