@@ -5,8 +5,9 @@ exact kernel, `_abs_extrema`: the sup of |P| over a union of bands is the
 largest |P| at the band ends and at the critical points of P inside the bands,
 found as the roots of P' (colleague matrix) or, for trigonometric polynomials,
 as the unimodular roots of a degree-2n polynomial in z = e^{it}.  The kernel
-takes a stack of coefficient rows and solves their eigenproblems in one call
-per degree; the LP passes a stack of one.
+takes a stack of coefficient rows, which may be zero-padded to a common
+width, and solves their eigenproblems in one call per distinct true degree;
+the LP passes a stack of one.
 
 Sup-norm extremal problems are semi-infinite linear programs solved by cutting
 planes: start from a small Chebyshev-spaced constraint grid, solve one LP (the
@@ -28,7 +29,7 @@ so basis conditioning enters only through its square root.
 verify_inequality is the falsification harness: it throws seeded random
 polynomials at every non-asymptotic inequality in the catalog and reports any
 ratio that exceeds 1 beyond floating-point slack.  The trials are drawn one
-by one and then checked in stacks, one per degree, so each stack takes every
+by one and then checked as one zero-padded stack, so a report takes every
 norm from a single kernel call and every pointwise left-hand side from one
 product with probe design matrices built once.  Every norm in a ratio is
 the exact kernel's, so an undersampled norm can never manufacture a spurious
@@ -251,7 +252,11 @@ def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarra
     of P' (colleague matrix) for the algebraic basis, and for the
     trigonometric basis the unimodular roots of z^n P'(t), a polynomial of
     degree 2n in z = e^{it}; the stack goes through one eigvals call per
-    distinct degree, which is one call when its rows share their degree.
+    distinct degree, which is one call when its rows share their degree.  A
+    zero-padded row keeps its own degree: trailing zeros lower an algebraic
+    row's colleague matrix, and a trigonometric row of degree d < n, whose
+    z^n P' is z^(n-d) times a degree-2d polynomial, is shifted down to that
+    polynomial, so it reaches eigvals as a 2d x 2d companion matrix.
     Every root is projected onto the line or circle and clipped into each
     band, so every row has the same number of candidates: the band ends plus
     its clipped roots.  A true critical point may come back from the
@@ -271,7 +276,11 @@ def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarra
         zcoeffs[:, n] = deriv[:, 0]
         zcoeffs[:, n + 1 :] = 0.5 * (deriv[:, 1::2] - 1j * deriv[:, 2::2])
         zcoeffs[:, :n] = np.conj(zcoeffs[:, n + 1 :])[:, ::-1]
-        crit = np.angle(_roots(zcoeffs, _companion, 1.0))
+        # a row of degree d < n is z^(n-d) times a degree-2d polynomial:
+        # rotating its leading zeros to the top leaves that polynomial
+        first = np.argmax(zcoeffs != 0.0, axis=1)
+        shift = (first[:, None] + np.arange(2 * n + 1)) % (2 * n + 1)
+        crit = np.angle(_roots(np.take_along_axis(zcoeffs, shift, axis=1), _companion, 1.0))
     # per band: its two ends, then every root clipped into it
     points = np.empty((g, len(bands), 2 + crit.shape[1]))
     for i, (lo, hi) in enumerate(bands):
@@ -302,16 +311,16 @@ def _circle_norm(coeffs: np.ndarray) -> np.ndarray:
     """max |P(z)| on |z| = 1 for each row of a (g, n + 1) stack of real power
     coefficients.
 
-    |P(e^{it})|^2 = rho_0 + 2 sum_m rho_m cos(mt), with rho the
-    autocorrelation of the coefficients: a trigonometric polynomial of the
-    same degree, so the trigonometric kernel serves it.
+    |P(e^{it})|^2 = rho_0 + 2 sum_m rho_m cos(mt) = sum_m c_m T_m(cos t),
+    with rho the autocorrelation of the coefficients, c_0 = rho_0 and
+    c_m = 2 rho_m: a Chebyshev series of the same degree in x = cos t, whose
+    max over [-1, 1] the algebraic kernel finds from a real colleague
+    matrix of order n - 1.
     """
     n = coeffs.shape[1] - 1
-    rho = np.stack([np.sum(coeffs[:, : n + 1 - m] * coeffs[:, m:], axis=1) for m in range(n + 1)], axis=1)
-    square = np.zeros((coeffs.shape[0], 2 * n + 1))
-    square[:, 0] = rho[:, 0]
-    square[:, 1::2] = 2.0 * rho[:, 1:]
-    return np.sqrt(_sup_norm(PolyBasis("trigonometric", n), square, ((-math.pi, math.pi),)))
+    square = np.stack([np.sum(coeffs[:, : n + 1 - m] * coeffs[:, m:], axis=1) for m in range(n + 1)], axis=1)
+    square[:, 1:] *= 2.0
+    return np.sqrt(_sup_norm(PolyBasis("algebraic-chebyshev", n), square, ((-1.0, 1.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +339,21 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
     the leaving row comes from a long-step ratio test over the breakpoints of
     sum|w| along the entering direction.  An entering row that is already in
     the reference means the pricing threshold is below round-off, and x is
-    returned as it stands for the caller's checks to judge.
+    returned as it stands for the caller's checks to judge.  On a degenerate
+    vertex, pivots whose step is at round-off can cycle, so the references
+    they leave are recorded.  The first repeat restarts from there on an
+    objective perturbed by about 1e-7 relative, whose optimal reference the
+    true objective then resumes from; a second repeat raises.
 
     Returns x and the final reference.
     """
     threshold = 1.0 + min(tol.cert_slack, tol.lp_feasibility)
     pivots = 0
+    target, seen, restarted = objective, set(), False
     while True:
         basic = rows[ref]
         try:
-            w = np.linalg.solve(basic.T, objective)
+            w = np.linalg.solve(basic.T, target)
             s = np.where(w < 0.0, -1.0, 1.0)
             x = np.linalg.solve(basic, s)
         except np.linalg.LinAlgError:
@@ -350,7 +364,10 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
         if not np.isfinite(excess):
             raise NumericFailureError("LP exchange lost its reference to round-off")
         if excess <= threshold or enter in ref:
-            return x, ref
+            if target is objective:
+                return x, ref
+            target, seen = objective, set()     # resume the true objective from there
+            continue
         if pivots >= tol.lp_iteration_limit:
             raise ResourceLimitError("LP iteration limit reached")
         # w_B(t) = w - t d as the entering weight grows to t sign(r); each
@@ -362,8 +379,20 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
         stop = np.flatnonzero(slope >= 0.0)
         if stop.size == 0:
             raise NumericFailureError("LP exchange found no leaving row (unbounded dual)")
+        leave = cand[order[stop[0]]]
+        if abs(w[leave]) <= w.size * np.finfo(float).eps * np.sum(np.abs(w)):
+            # a step at round-off: on a degenerate vertex these can cycle
+            key = tuple(sorted(ref.tolist()))
+            if key in seen:
+                if restarted:
+                    raise NumericFailureError("LP exchange cycles on a degenerate reference")
+                restarted = True
+                target = objective * (1.0 + 1e-7 * np.random.default_rng(0).standard_normal(objective.size))
+                seen = set()
+                continue
+            seen.add(key)
         ref = ref.copy()
-        ref[cand[order[stop[0]]]] = enter
+        ref[leave] = enter
         pivots += 1
 
 
@@ -715,23 +744,26 @@ def _probe_points(bands, tol: Tolerances, per_band: int = 64) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _ratios(inequality: str, ctx, n: int, k: int, coeffs: np.ndarray) -> np.ndarray:
-    """Worst LHS/RHS ratio of each random polynomial of degree n in a
-    (trials, dim) stack; > 1 means violation."""
+def _ratios(inequality: str, ctx, n: np.ndarray, k: int, coeffs: np.ndarray) -> np.ndarray:
+    """Worst LHS/RHS ratio of each random polynomial in a (trials, dim) stack,
+    row i of degree n[i] and padded with zeros to the widest row; > 1 means
+    violation."""
     bands, probes = ctx["bands"], ctx["probes"]
+    top = int(np.max(n))
     if inequality == "riesz-circle":
         # P'(e^{it}) = sum_j (j + 1) c_{j+1} (cos jt + i sin jt)
-        dcoeffs = coeffs[:, 1:] * np.arange(1, n + 1)
-        phase = np.outer(np.arange(n), probes)
+        dcoeffs = coeffs[:, 1:] * np.arange(1, top + 1)
+        phase = np.outer(np.arange(top), probes)
         lhs = np.max(np.hypot(dcoeffs @ np.cos(phase), dcoeffs @ np.sin(phase)), axis=1)
         return lhs / (n * _circle_norm(coeffs))
 
-    basis = PolyBasis(ctx["kind"], n, ctx["reference"])
+    basis = PolyBasis(ctx["kind"], top, ctx["reference"])
     norm = _sup_norm(basis, coeffs, bands)
     if inequality == "markov-unit":
         return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * n * norm)
     if inequality == "va-markov":
-        return _sup_norm(basis, _derivative(basis, coeffs, k), bands) / (va_markov_exact(n, k) * norm)
+        exact = np.array([va_markov_exact(d, k) for d in n.tolist()])
+        return _sup_norm(basis, _derivative(basis, coeffs, k), bands) / (exact * norm)
     if inequality == "trig-full-period":
         return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * norm)
 
@@ -741,11 +773,11 @@ def _ratios(inequality: str, ctx, n: int, k: int, coeffs: np.ndarray) -> np.ndar
         lhs = np.abs(dp) * np.sqrt(1.0 - probes**2)
         return np.max(lhs, axis=1) / (n * norm)
     if inequality == "szego-unit":
-        lhs = (dp * np.sqrt(1.0 - probes**2)) ** 2 + n * n * p**2
+        lhs = (dp * np.sqrt(1.0 - probes**2)) ** 2 + (n * n)[:, None] * p**2
         return np.max(lhs, axis=1) / (n * n * norm * norm)
     omega = ctx["omega"]
     if inequality == "bernstein-szego":
-        lhs = (dp / (math.pi * omega)) ** 2 + n * n * p**2
+        lhs = (dp / (math.pi * omega)) ** 2 + (n * n)[:, None] * p**2
         return np.max(lhs, axis=1) / (n * n * norm * norm)
     if inequality == "bernstein-alg":
         lhs = np.abs(dp) / (math.pi * omega)
@@ -774,8 +806,8 @@ def verify_inequality(
     and must lie in 1..verify_max_degree there.
 
     Each trial draws its degree and then its coefficients from the seeded
-    generator, in trial order; the trials of one degree are then checked as
-    one stack.
+    generator, in trial order; all trials are then checked as one stack,
+    each row padded with zeros to the widest.
 
     density_scale is a negative-control hook: the density-based bounds are
     divided through the scaled density, so any value other than 1 corrupts
@@ -801,10 +833,10 @@ def verify_inequality(
         n = int(rng.integers(lowest, tol.verify_max_degree + 1))
         degrees[trial] = n
         draws.append(rng.standard_normal(2 * n + 1 if trig else n + 1))
-    ratios = np.empty(trials)
-    for n in sorted(set(degrees.tolist())):
-        group = np.flatnonzero(degrees == n)
-        ratios[group] = _ratios(inequality, ctx, n, order, np.stack([draws[t] for t in group]))
+    stack = np.zeros((trials, max(row.size for row in draws)))
+    for row, draw in zip(stack, draws):
+        row[: draw.size] = draw
+    ratios = _ratios(inequality, ctx, degrees, order, stack)
     worst = int(np.argmax(ratios))       # the first trial that reaches the maximum
     bad = np.flatnonzero(ratios > 1.0 + tol.verify_hard)
     return VerifyReport(

@@ -11,6 +11,7 @@ independent QUADPACK-assembled oracle.
 
 import dataclasses
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -595,6 +596,62 @@ class TestStackedKernel:
         ]
         self.check_stack(got, alone, sampled, np.sum(np.abs(c), axis=1))
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("algebraic-chebyshev", "trigonometric")))
+    @example(seed=0, kind="algebraic-chebyshev")
+    @example(seed=0, kind="trigonometric")
+    def test_every_degree_padded_into_one_stack(self, seed, kind):
+        # rows of degrees 1..15 in random order, zero-padded to degree 15
+        from eqmarkov.extremal import _sup_norm
+
+        rng = np.random.default_rng(seed)
+        if kind == "trigonometric":
+            a = rng.uniform(-math.pi, math.pi)
+            bands = ((a, a + rng.uniform(0.2, 2.0 * math.pi)),)
+        else:
+            ends = np.sort(rng.uniform(-1.0, 1.0, 2 * int(rng.integers(1, 4))))
+            bands = tuple(zip(ends[0::2], ends[1::2]))
+        top = PolyBasis(kind, 15)
+        stack = np.zeros((15, top.dim))
+        alone = []
+        for row, d in zip(stack, rng.permutation(np.arange(1, 16)).tolist()):
+            basis = PolyBasis(kind, d)
+            row[: basis.dim] = rng.standard_normal(basis.dim)
+            alone.append(_sup_norm(basis, row[None, : basis.dim], bands)[0])
+        got = _sup_norm(top, stack, bands)
+        for value, single in zip(got, alone):
+            assert abs(value - single) <= 1e-12 * single
+
+    def test_trig_row_reaches_eigvals_at_its_degree(self, monkeypatch):
+        from eqmarkov.extremal import _sup_norm
+
+        shapes = []
+        real = np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        degrees = (1, 2, 5, 9, 15)
+        basis = PolyBasis("trigonometric", 15)
+        stack = np.zeros((len(degrees), basis.dim))
+        rng = np.random.default_rng(7)
+        for row, d in zip(stack, degrees):
+            row[: 2 * d + 1] = rng.standard_normal(2 * d + 1)
+        _sup_norm(basis, stack, ((-1.0, 2.0),))
+        assert sorted(shapes) == [(1, 2 * d, 2 * d) for d in degrees]
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_circle_norm_closed_forms(self, n):
+        from eqmarkov.extremal import _circle_norm
+
+        binomial = [math.comb(n, j) for j in range(n + 1)]       # (1 + z)^n
+        monomial = [1.0] + [0.0] * (n - 1) + [1.0]                  # 1 + z^n
+        got = _circle_norm(np.array([binomial, monomial], dtype=float))
+        assert abs(got[0] - 2.0**n) <= 1e-14 * 2.0**n
+        assert abs(got[1] - 2.0) <= 1e-14 * 2.0
+
 
 # ---------------------------------------------------------------------------
 # the LP exchange against solvers that share no code with it
@@ -750,6 +807,47 @@ class TestExchangeOracles:
                 assert abs(exchange - highs) <= DEFAULT_TOL.cert_slack * highs, (domain, n, x0, k)
                 agreed += 1
         assert agreed >= 30
+
+
+class TestExchangeCycles:
+    """Degenerate LPs whose round-off pivots cycle: each call ends within a
+    second, certified or with a typed numeric failure, never at the pivot
+    limit."""
+
+    def test_degenerate_arc_certifies(self):
+        # HiGHS on a 40001-point grid brackets the value in
+        # [10.3714418, 10.3714450].
+        per = PeriodicSet(IntervalUnion((-2.5, 2.5)))
+        start = time.perf_counter()
+        res = pointwise_derivative_sup(per, PolyBasis("trigonometric", 10), 0.0)
+        assert time.perf_counter() - start < 1.0
+        assert 10.3714418 <= res.value <= 10.3714450 * (1.0 + DEFAULT_TOL.cert_slack)
+        assert brute_sup_trig(res.coefficients, per.base.bands) <= 1.0 + DEFAULT_TOL.cert_slack
+
+    @pytest.mark.parametrize("beta, n", [
+        (2.0, 4), (2.0, 6), (2.5, 3), (2.5, 5), (2.5, 6), (3.0, 5), (3.0, 6), (3.0, 8),
+    ])
+    def test_mirrored_candidates(self, monkeypatch, beta, n):
+        # Cutting at the mirror -t of every trigonometric candidate as well
+        # makes the exchange meet degenerate references that cycle.
+        import eqmarkov.extremal as ex
+
+        real = ex._abs_extrema
+
+        def mirrored(basis, coeffs, bands):
+            points, values = real(basis, coeffs, bands)
+            if basis.kind != "trigonometric":
+                return points, values
+            points = np.concatenate([points, -points], axis=1)
+            return points, np.abs(ex._values(basis, coeffs, points))
+
+        monkeypatch.setattr(ex, "_abs_extrema", mirrored)
+        start = time.perf_counter()
+        try:
+            pointwise_derivative_sup(PeriodicSet(IntervalUnion((-beta, beta))), PolyBasis("trigonometric", n), 0.0)
+        except NumericFailureError:
+            pass
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +1041,22 @@ class TestVerifyHarness:
         args = {"trials": 5, "rng_seed": 0, **kwargs}
         with pytest.raises(InvalidArgumentError):
             verify_inequality(UNIT, **args)
+
+    @pytest.mark.parametrize("inequality,domain", CASES, ids=[c[0] for c in CASES])
+    def test_one_stack_per_report(self, monkeypatch, inequality, domain):
+        import eqmarkov.extremal as ex
+
+        calls = []
+        real = ex._ratios
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(ex, "_ratios", counting)
+        report = verify_inequality(domain, inequality, trials=40, rng_seed=3)
+        assert len(calls) == 1
+        assert len(calls[0]) == report.trials and len(set(calls[0].tolist())) > 1
 
     def test_order_limits_accepted(self):
         top = DEFAULT_TOL.verify_max_degree
