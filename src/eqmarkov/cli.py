@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .equilibrium import arc_density, circle_density, interval_density
+from .equilibrium import arc_density, circle_density, interval_density, solve_xi
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -291,16 +291,12 @@ def cmd_eqdensity(config: RunConfig) -> tuple[str, int]:
     s = _load_set(config)
     if isinstance(s, IntervalUnion):
         density = interval_density(s, DEFAULT_TOL)
-        bands = s.bands
     elif isinstance(s, ArcUnion):
         density = arc_density(s, DEFAULT_TOL)
-        bands = s.arcs
     elif isinstance(s, PeriodicSet):
         density = arc_density(gamma_of(s), DEFAULT_TOL)
-        bands = s.base.bands
     elif isinstance(s, Circle):
         density = circle_density(s)
-        bands = ((-math.pi, math.pi),)
     elif isinstance(s, Lemniscate):
         raise InvalidArgumentError(
             "a lemniscate level set has no banded parameter grid; "
@@ -309,6 +305,7 @@ def cmd_eqdensity(config: RunConfig) -> tuple[str, int]:
     else:
         raise InvalidArgumentError("unsupported set type for eqdensity")
 
+    bands = ((-math.pi, math.pi),) if isinstance(s, Circle) else density.spans
     ts = np.concatenate([np.linspace(lo, hi, config.grid + 2)[1:-1] for lo, hi in bands])
     if isinstance(s, Circle):
         # the parameter is the angle; the density lives on the curve itself
@@ -353,25 +350,21 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
     s = _load_set(config)
     point = _parse_point(config.point) if config.point is not None else None
     entries: list[dict] = []
+    higher_at = None    # (point argument, JSON point) of the higher-bernstein entry
 
     if isinstance(s, IntervalUnion):
+        xi = solve_xi(s)
         for j in range(1, 2 * s.m + 1):
-            entries.append(_report_entry(markov_local(s, j), endpoint_index=j))
+            entries.append(_report_entry(markov_local(s, j, xi), endpoint_index=j))
             if config.k >= 2:
                 entries.append(
-                    _report_entry(markov_higher(s, j, config.k), endpoint_index=j, order=config.k)
+                    _report_entry(markov_higher(s, j, config.k, xi), endpoint_index=j, order=config.k)
                 )
         entries.append(_report_entry(markov_global(s)))
         if point is not None:
-            entries.append(_report_entry(bernstein_factor(s, float(point)), point=float(point)))
-            if config.k >= 2:
-                entries.append(
-                    _report_entry(
-                        bernstein_higher(s, float(point), config.k),
-                        point=float(point),
-                        order=config.k,
-                    )
-                )
+            density = interval_density(s, xi_override=xi)
+            entries.append(_report_entry(bernstein_factor(s, float(point), density), point=float(point)))
+            higher_at = (float(point), float(point))
         weight, explicit = _resolve_weight(config, s)
         entries.append(_report_entry(l2_markov_constant(s, weight if explicit else None)))
         if s.endpoints == (-1.0, 1.0) and config.n is not None:
@@ -411,14 +404,7 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
             entries.append(
                 _report_entry(bernstein_factor_trig(s, float(point)), point=float(point))
             )
-            if config.k >= 2:
-                entries.append(
-                    _report_entry(
-                        bernstein_higher(s, float(point), config.k),
-                        point=float(point),
-                        order=config.k,
-                    )
-                )
+            higher_at = (float(point), float(point))
     elif isinstance(s, ArcUnion):
         for j in range(1, 2 * s.m + 1):
             entries.append(_report_entry(markov_local_arc(s, j), endpoint_index=j))
@@ -434,12 +420,12 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
         if isinstance(s, Circle) and not isinstance(point, complex):
             z = s.center + s.radius * complex(math.cos(point), math.sin(point))
         entries.append(_report_entry(riesz_factor(s, z), point=[z.real, z.imag]))
-        if config.k >= 2:
-            entries.append(
-                _report_entry(bernstein_higher(s, z, config.k), point=[z.real, z.imag], order=config.k)
-            )
+        higher_at = (z, [z.real, z.imag])
     else:
         raise InvalidArgumentError("unsupported set type for factors")
+    if higher_at is not None and config.k >= 2:
+        at, label = higher_at
+        entries.append(_report_entry(bernstein_higher(s, at, config.k), point=label, order=config.k))
 
     entries.sort(key=lambda d: (d["kind"], d.get("endpoint_index", 0), str(d.get("point", ""))))
     if config.fmt == "csv":

@@ -1,9 +1,13 @@
 """Central tolerance/limit record.
 
-Every numeric knob in the package lives here so that a tolerance is stated
-once and tests pin against the same value the implementation uses.  The
-defaults are deliberate choices, not guesses; loosening one to make a test
-pass defeats the certificates built on top of them.
+Every tolerance and limit a caller may tune lives here, stated once, and tests
+pin against the same value the implementation uses.  The defaults are
+deliberate choices, not guesses; loosening one to make a test pass defeats
+the certificates built on top of them.  Fixed design constants stay in the
+code and are not knobs: the 1e12 moment-matrix ceiling in `solve_xi`, the
+1e-13 tail and 8x degree cap of `_cheb_coeffs_of`, `_ARC_QUAD_POINTS` = 256,
+the verifier's 64 probes per band, the L2 rule of 2n + 40 points and the
+8-band collocation limit.
 """
 
 from __future__ import annotations

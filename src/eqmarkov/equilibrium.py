@@ -33,8 +33,9 @@ constancy of the log potential over interior probes (Frostman property).  The
 mass is pi * sum_k half_k c_{k,0}, the exact integral of the stored expansion.
 For the closed forms c_0 is a Gauss-Chebyshev mean of the closed-form G, so
 the mass checks the formula; for collocation the mass row imposes it, and the
-Frostman check is the one that tests the solve.  A density object that fails
-either check is not returned; the builders raise instead.
+Frostman check is the one that tests the solve.  One constructor,
+`_banded_density`, builds every line and circle density and fills in both
+checks; a density that fails either is not returned, the builders raise.
 """
 
 from __future__ import annotations
@@ -213,6 +214,15 @@ class EquilibriumDensity:
             return self._eval_array(np.asarray(point, dtype=float))
         return self._eval(point)
 
+    @property
+    def spans(self) -> tuple[tuple[float, float], ...]:
+        """(lo, hi) per band: t on the line, angle on the circle; () otherwise."""
+        if self.geometry == "line":
+            return self.set.bands
+        if self.geometry == "circle":
+            return self.set.arcs
+        return ()
+
 
 def _band_index(t: np.ndarray, spans) -> np.ndarray:
     """Index of the span whose interior holds each point; DomainError if a
@@ -388,23 +398,19 @@ def omega_limit_extrapolated(
 
     Distance is |t - a_j| on the line and chordal |z - A_j| on the circle.
     """
-    if d.geometry == "line":
-        band, side = d.set.endpoint_band(j)
-        lo, hi = d.set.bands[band]
-        a = d.set.endpoints[j - 1]
-
-        def offset(dist):
-            return dist
-    elif d.geometry == "circle":
-        band, side = d.set.endpoint_arc(j)
-        lo, hi = d.set.arcs[band]
-        a = d.set.angles[j - 1]
-
-        def offset(dist):
-            # chord d corresponds to angular offset 2 asin(d/2)
-            return 2.0 * math.asin(0.5 * dist)
-    else:
+    spans = d.spans
+    if not spans:
         raise InvalidArgumentError("endpoint limits need a line or circle density")
+    if not 1 <= j <= 2 * len(spans):
+        raise InvalidArgumentError(f"endpoint index {j} out of range")
+    band, end = divmod(j - 1, 2)
+    lo, hi = spans[band]
+    a, side = (lo, "left") if end == 0 else (hi, "right")
+
+    def offset(dist):
+        # on the circle, chord d corresponds to angular offset 2 asin(d/2)
+        return 2.0 * math.asin(0.5 * dist) if d.geometry == "circle" else dist
+
     length = hi - lo
     dists = np.asarray(tol.extrapolation_chords)
     if offset(dists[0]) >= 0.25 * length:
@@ -507,11 +513,8 @@ def frostman_profile(
         probes = tol.frostman_probes_per_band
     if probes < 3:
         raise InvalidArgumentError("need at least 3 probes per band")
-    if d.geometry == "line":
-        spans = d.set.bands
-    elif d.geometry == "circle":
-        spans = d.set.arcs
-    else:
+    spans = d.spans
+    if not spans:
         raise InvalidArgumentError("Frostman probing needs a line or circle density")
     points = []
     for lo, hi in spans:
@@ -534,9 +537,18 @@ def frostman_check(
     return float(np.max(values) - np.min(values))
 
 
-def _certified(d: EquilibriumDensity, tol: Tolerances, validate: bool) -> EquilibriumDensity:
-    """d with its Frostman spread filled in; with validate, also enforced
-    together with the mass certificate."""
+def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, tol, validate=True):
+    """The line or circle density of s whose k-th band carries the regular
+    part sum_p coeffs[k][p] T_p over the k-th span of s; its mass and
+    Frostman spread are filled in and, with validate, enforced."""
+    spans = s.bands if geometry == "line" else s.arcs
+    bands = tuple(_Band(0.5 * (lo + hi), 0.5 * (hi - lo), c) for (lo, hi), c in zip(spans, coeffs))
+    d = EquilibriumDensity(
+        set=s, geometry=geometry, xi=tuple(xi), mass=_band_mass(bands),
+        frostman_spread=math.nan, method=method, bands=bands, _eval=evaluate,
+        _eval_array=evaluate_array,
+    )
+    # the spread is measured on the finished record, so it is filled in by copy
     d = replace(d, frostman_spread=frostman_check(d, tol=tol))
     if validate:
         _validate_density(d, tol)
@@ -551,19 +563,14 @@ def interval_density(
 ) -> EquilibriumDensity:
     """Closed-form density of an interval union (the xi route).
 
-    xi_override exists for negative controls (deliberately wrong gap points);
-    with validate=False the certificates are still computed and stored but not
-    enforced.
+    xi_override takes gap points already solved for, or, in negative
+    controls, deliberately wrong ones; with validate=False the certificates
+    are still computed and stored but not enforced.
     """
     xi = list(xi_override) if xi_override is not None else solve_xi(e, tol)
     if len(xi) != e.m - 1:
         raise InvalidArgumentError("xi count must be m - 1")
-    bands = []
-    for k, (lo, hi) in enumerate(e.bands):
-        g = _interval_regular(e, xi, k)
-        coeffs = _cheb_coeffs_of(g, tol)
-        bands.append(_Band(0.5 * (lo + hi), 0.5 * (hi - lo), coeffs))
-    bands = tuple(bands)
+    coeffs = [_cheb_coeffs_of(_interval_regular(e, xi, k), tol) for k in range(e.m)]
 
     def evaluate(t: float) -> float:
         return density_intervals(e, xi, t)
@@ -578,11 +585,7 @@ def interval_density(
             den *= np.abs(t - a)
         return num / (math.pi * np.sqrt(den))
 
-    density = _certified(EquilibriumDensity(
-        set=e, geometry="line", xi=tuple(xi), mass=_band_mass(bands),
-        frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
-        _eval_array=evaluate_array,
-    ), tol, validate)
+    density = _banded_density(e, "line", coeffs, xi, "closed-form", evaluate, evaluate_array, tol, validate)
     if validate:
         for (glo, ghi), x0 in zip(e.gaps, xi):
             if not glo < x0 < ghi:
@@ -614,7 +617,6 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         return np.cos(0.5 * beta * s) / (2.0 * math.pi * np.sqrt(h1 * h2))
 
     coeffs = _cheb_coeffs_of(g, tol)
-    bands = (_Band(center, beta, coeffs),)
 
     def evaluate(theta: float) -> float:
         t = wrap_angle(theta - center)
@@ -626,19 +628,15 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         den = np.sin(0.5 * (beta - t)) * np.sin(0.5 * (beta + t))
         return np.cos(0.5 * t) / (2.0 * math.pi * np.sqrt(den))
 
-    return _certified(EquilibriumDensity(
-        set=a, geometry="circle", xi=(), mass=_band_mass(bands),
-        frostman_spread=math.nan, method="closed-form", bands=bands, _eval=evaluate,
-        _eval_array=evaluate_array,
-    ), tol, True)
+    return _banded_density(a, "circle", [coeffs], (), "closed-form", evaluate, evaluate_array, tol)
 
 
-def circle_density(c: Circle) -> EquilibriumDensity:
+def circle_density(c: Circle, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensity:
     """Uniform density on a circle; potential constancy holds by symmetry."""
     value = density_circle(c)
 
     def evaluate(z) -> float:
-        if not c.on_curve(complex(z)):
+        if not c.on_curve(complex(z), tol.point_on_set):
             raise DomainError("point is not on the circle")
         return value
 
@@ -711,34 +709,26 @@ def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> 
     solution = np.linalg.solve(matrix, rhs)
 
     per = deg + 1
-    bands = []
-    for k, (lo, hi) in enumerate(band_spans):
-        coeffs = solution[k * per : (k + 1) * per].copy()
-        bands.append(_Band(0.5 * (lo + hi), 0.5 * (hi - lo), coeffs))
-    bands = tuple(bands)
+    coeffs = [solution[k * per : (k + 1) * per].copy() for k in range(len(band_spans))]
 
     def evaluate(point: float) -> float:
         t = wrap_angle(point) if geometry == "circle" else point
-        for b, (lo, hi) in zip(bands, band_spans):
+        for c, (lo, hi) in zip(coeffs, band_spans):
             if lo < t < hi:
-                sig = (t - b.center) / b.half
-                return float(_cheb.chebval(sig, b.coeffs) / math.sqrt(1.0 - sig * sig))
+                sig = (t - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+                return float(_cheb.chebval(sig, c) / math.sqrt(1.0 - sig * sig))
         raise DomainError("density evaluation needs an interior point")
 
     def evaluate_array(points: np.ndarray) -> np.ndarray:
         t = wrap_angles(points) if geometry == "circle" else points
         index = _band_index(t, band_spans)
         out = np.empty(t.shape)
-        for k, b in enumerate(bands):
-            sig = (t[index == k] - b.center) / b.half
-            out[index == k] = _cheb.chebval(sig, b.coeffs) / np.sqrt(1.0 - sig * sig)
+        for k, (c, (lo, hi)) in enumerate(zip(coeffs, band_spans)):
+            sig = (t[index == k] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+            out[index == k] = _cheb.chebval(sig, c) / np.sqrt(1.0 - sig * sig)
         return out
 
-    return _certified(EquilibriumDensity(
-        set=s, geometry=geometry, xi=(), mass=_band_mass(bands),
-        frostman_spread=math.nan, method="collocation", bands=bands, _eval=evaluate,
-        _eval_array=evaluate_array,
-    ), tol, True)
+    return _banded_density(s, geometry, coeffs, (), "collocation", evaluate, evaluate_array, tol)
 
 
 def _collocation_system(band_spans, geometry: str, deg: int):

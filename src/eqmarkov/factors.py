@@ -29,6 +29,7 @@ from .equilibrium import (
     lemniscate_density,
     omega_limit,
     omega_limit_arc,
+    solve_xi,
 )
 from .errors import DomainError, InvalidArgumentError
 from .numerics import bessel_smallest_zero
@@ -216,7 +217,7 @@ def riesz_factor(s: Circle | Lemniscate, z: complex, tol: Tolerances = DEFAULT_T
     """2 pi * density on a closed curve; exact on circles, asymptotic on
     lemniscates."""
     if isinstance(s, Circle):
-        d = circle_density(s)
+        d = circle_density(s, tol)
         return FactorReport("riesz-curve", 2.0 * math.pi * d.evaluate(z), 1, False)
     if isinstance(s, Lemniscate):
         d = lemniscate_density(s, tol)
@@ -266,8 +267,6 @@ def markov_local(
 
 
 def markov_global(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
-    from .equilibrium import solve_xi
-
     xi = solve_xi(e, tol)
     best = max(
         omega_limit(e, j, xi, tol).omega_limit for j in range(1, 2 * e.m + 1)
@@ -359,8 +358,6 @@ def l2_markov_constant(
     if w is None:
         w = Weight.unweighted(e)
     w.validate_on(e)
-    from .equilibrium import solve_xi
-
     xi = solve_xi(e, tol)
     best = -math.inf
     for j in range(1, 2 * e.m + 1):

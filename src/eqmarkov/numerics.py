@@ -3,8 +3,7 @@
 Everything downstream (density solvers, extremal oracles) is built on the
 handful of primitives in this module.  Conventions:
 
-  * Quadrature rules live on [-1,1] unless stated otherwise; `QuadratureRule.mapped`
-    transplants a rule affinely.
+  * Quadrature rules live on [-1,1] unless stated otherwise.
   * Three-term recurrences are monic: p_{k+1} = (x - a_k) p_k - b_k p_{k-1},
     with b[0] holding the total mass of the measure (Gautschi's convention).
   * `simplex_solve` maximizes c.x subject to A x <= b with free variables and
@@ -58,12 +57,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return int(self.nodes.size)
-
-    def mapped(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Affine image of the rule on [lo, hi] (nodes, scaled weights)."""
-        c = 0.5 * (lo + hi)
-        r = 0.5 * (hi - lo)
-        return c + r * self.nodes, r * self.weights
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(self.weights @ np.asarray(f(self.nodes), dtype=float))

@@ -83,16 +83,6 @@ class IntervalUnion:
     def locate(self, x: float) -> Location:
         return locate(self, x)
 
-    def contains(self, x: float) -> bool:
-        return locate(self, x).kind in ("interior", "endpoint")
-
-    def band_of(self, x: float) -> int:
-        """0-based band index for a point of E (interior or endpoint)."""
-        for i, (a, b) in enumerate(self.bands):
-            if a <= x <= b:
-                return i
-        raise InvalidArgumentError(f"{x} is not in the set")
-
     def endpoint_band(self, j: int) -> tuple[int, str]:
         """(0-based band index, 'left'|'right') for 1-based endpoint j."""
         if not 1 <= j <= 2 * self.m:
@@ -142,11 +132,6 @@ class ArcUnion:
             if a < t < b:
                 return Location("interior", None)
         return Location("gap", None)
-
-    def endpoint_arc(self, j: int) -> tuple[int, str]:
-        if not 1 <= j <= 2 * self.m:
-            raise InvalidArgumentError(f"endpoint index {j} out of range")
-        return (j - 1) // 2, "left" if j % 2 == 1 else "right"
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,16 @@ import pytest
 
 import eqmarkov
 from eqmarkov.cli import main
-from eqmarkov.factors import va_markov_exact
+from eqmarkov.factors import (
+    bernstein_factor,
+    bernstein_higher,
+    l2_markov_constant,
+    markov_global,
+    markov_higher,
+    markov_local,
+    va_markov_exact,
+)
+from eqmarkov.sets import Circle, IntervalUnion, Lemniscate, PeriodicSet
 
 UNIT = '{"type":"intervals","endpoints":[-1,1]}'
 TWO = '{"type":"intervals","endpoints":[-1,-0.3,0.2,1]}'
@@ -368,6 +377,76 @@ class TestFactorsBesselRange:
         assert code == 3
         assert out == ""
         assert "above 100" in err
+
+
+THREE = '{"type":"intervals","endpoints":[-1,-0.6,-0.2,0.3,0.5,1]}'
+LEMNISCATE = '{"type":"lemniscate","coeffs":[-1,0,1]}'
+
+
+class TestFactorsHigherBernstein:
+    """One higher-bernstein entry per run with --point and --k >= 2, equal to
+    bernstein_higher on the same set and point; arc unions get none."""
+
+    @pytest.mark.parametrize("args, s, at, label", [
+        (["--set", TWO, "--point", "0.5"], IntervalUnion((-1.0, -0.3, 0.2, 1.0)), 0.5, 0.5),
+        (["--beta", "2.0", "--point", "0.5"], PeriodicSet(IntervalUnion((-2.0, 2.0))), 0.5, 0.5),
+        (["--set", '{"type":"circle","r":0.5}', "--point", "1.0"], Circle(0.5),
+         0.5 * complex(math.cos(1.0), math.sin(1.0)),
+         [0.5 * math.cos(1.0), 0.5 * math.sin(1.0)]),
+        (["--set", LEMNISCATE, "--point", "1.4142135623730951,0"], Lemniscate((-1.0, 0.0, 1.0)),
+         complex(1.4142135623730951, 0.0), [1.4142135623730951, 0.0]),
+    ], ids=["intervals", "beta", "circle", "lemniscate"])
+    def test_one_entry_equal_to_the_factor(self, capsys, args, s, at, label):
+        code, out, _ = run(capsys, "factors", *args, "--k", "2")
+        assert code == 0
+        higher = [e for e in json.loads(out)["entries"] if e["kind"] == "higher-bernstein"]
+        report = bernstein_higher(s, at, 2)
+        assert higher == [{
+            "kind": "higher-bernstein", "value": report.value, "degree_power": 2,
+            "asymptotic": report.asymptotic, "point": label, "order": 2,
+        }]
+
+    @pytest.mark.parametrize("angles", ["[-2,2]", "[-2.5,-0.5,0.5,2.5]"])
+    def test_none_on_arcs(self, capsys, angles):
+        code, out, _ = run(capsys, "factors", "--set", f'{{"type":"arcs","angles":{angles}}}',
+                           "--point", "1.0", "--k", "2")
+        assert code == 0
+        assert not [e for e in json.loads(out)["entries"] if e["kind"] == "higher-bernstein"]
+
+
+class TestFactorsSolvesXiOnce:
+    def test_gap_points_are_shared(self, capsys, monkeypatch):
+        import eqmarkov.cli
+        import eqmarkov.equilibrium
+        import eqmarkov.factors
+
+        original = eqmarkov.equilibrium.solve_xi
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (eqmarkov.cli, eqmarkov.equilibrium, eqmarkov.factors):
+            monkeypatch.setattr(module, "solve_xi", counted)
+        code, out, _ = run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")
+        assert code == 0
+        assert len(calls) <= 5
+        monkeypatch.undo()
+
+        # every value is the one the factor gives with its own gap points
+        e = IntervalUnion((-1.0, -0.6, -0.2, 0.3, 0.5, 1.0))
+        want = {("markov-global", 0): markov_global(e).value,
+                ("bernstein-alg", 0): bernstein_factor(e, 0.6).value,
+                ("higher-bernstein", 0): bernstein_higher(e, 0.6, 3).value,
+                ("l2-markov", 0): l2_markov_constant(e).value}
+        for j in range(1, 7):
+            want["markov-local", j] = markov_local(e, j).value
+            want["higher-markov", j] = markov_higher(e, j, 3).value
+        entries = json.loads(out)["entries"]
+        assert {(d["kind"], d.get("endpoint_index", 0)): d["value"] for d in entries} == want
+        assert len(entries) == len(want)
+        assert run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")[1] == out
 
 
 # Runs CLI subcommands in one fresh interpreter and reports which scipy

@@ -718,3 +718,52 @@ class TestBandMass:
     def test_mass_equals_quadrature_of_the_stored_coefficients(self, build):
         d = build()
         assert abs(d.mass - gauss_chebyshev_doubling_mass(d)) <= 1e-13
+
+
+PAIR = ArcUnion((-2.0, -1.0, 1.0, 2.0))
+
+
+class TestBandedConstruction:
+    """Every line and circle density comes from one constructor: one band per
+    span of the set, with the certificates it stores equal to the ones
+    recomputed from the finished record."""
+
+    def test_spans_per_geometry(self):
+        assert interval_density(TWOBAND).spans == TWOBAND.bands
+        assert arc_density(PAIR).spans == PAIR.arcs
+        assert circle_density(Circle(2.0)).spans == ()
+        assert lemniscate_density(Lemniscate((0.0, 0.0, 1.0))).spans == ()
+
+    @pytest.mark.parametrize("build", [
+        lambda: interval_density(TWOBAND),
+        lambda: interval_density(TWOBAND, xi_override=[solve_xi(TWOBAND)[0] + 0.05], validate=False),
+        lambda: arc_density(ArcUnion((-1.4, 2.0))),
+        lambda: collocation_density(TWOBAND),
+        lambda: collocation_density(PAIR),
+    ], ids=["interval", "wrong-xi-unvalidated", "arc", "collocation-line", "collocation-arcs"])
+    def test_stored_certificates(self, build):
+        d = build()
+        assert [(b.center, b.half) for b in d.bands] == [
+            (0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in d.spans
+        ]
+        assert d.mass == math.pi * sum(b.half * float(b.coeffs[0]) for b in d.bands)
+        assert d.frostman_spread == frostman_check(d)
+
+    @pytest.mark.parametrize("build", [
+        lambda: interval_density(TWOBAND),
+        lambda: arc_density(ArcUnion((-1.4, 2.0))),
+        lambda: arc_density(PAIR),
+    ], ids=["line", "arc", "arcs"])
+    def test_extrapolated_limit_rejects_bad_endpoint_index(self, build):
+        d = build()
+        for j in (0, 2 * len(d.spans) + 1):
+            with pytest.raises(InvalidArgumentError, match="out of range"):
+                omega_limit_extrapolated(d, j)
+
+    @pytest.mark.parametrize("d", [
+        circle_density(Circle(2.0)),
+        lemniscate_density(Lemniscate((0.0, 0.0, 1.0))),
+    ], ids=["circle", "lemniscate"])
+    def test_extrapolated_limit_needs_endpoints(self, d):
+        with pytest.raises(InvalidArgumentError, match="line or circle"):
+            omega_limit_extrapolated(d, 1)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from eqmarkov.config import Tolerances
 from eqmarkov.equilibrium import collocation_density, interval_density
 from eqmarkov.errors import DomainError, InvalidArgumentError, NumericFailureError
 from eqmarkov.factors import (
@@ -194,6 +195,12 @@ class TestRieszCurve:
             riesz_factor(Circle(1.0), 2.0 + 0j)
         with pytest.raises(DomainError):
             riesz_factor(Lemniscate((1.0, 0.0, 1.0)), 0.0 + 0j)
+
+    def test_caller_tolerance_reaches_the_circle(self):
+        z = 2.0 * (1.0 + 1e-11)         # 2e-11 off the circle of radius 2
+        assert riesz_factor(Circle(2.0), z, Tolerances(point_on_set=1e-9)).value == 0.5
+        with pytest.raises(DomainError):
+            riesz_factor(Circle(2.0), z)
 
 
 class TestMarkovEndpoint:
