@@ -6,8 +6,9 @@ deliberate choices, not guesses; loosening one to make a test pass defeats
 the certificates built on top of them.  Fixed design constants stay in the
 code and are not knobs: the 1e12 moment-matrix ceiling in `solve_xi`, the
 1e-13 tail and 8x degree cap of `_cheb_coeffs_of`, `_ARC_QUAD_POINTS` = 256,
-the verifier's 64 probes per band, the L2 rule of 2n + 40 points and the
-8-band collocation limit.
+the verifier's 64 probes per band, the L2 rule of 2n + 40 points, the
+16-point grid per band on which a weight's h must be positive and the 8-band
+collocation limit.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class Tolerances:
 
     # verification
     verify_hard: float = 1e-9            # slack on inequalities that hold for every n
-    asymptotic_slack: float = 0.02       # LP may exceed an asymptotic bound by at most this
     verify_default_trials: int = 200
     verify_max_degree: int = 15
 

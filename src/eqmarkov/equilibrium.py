@@ -318,18 +318,24 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
 # pointwise density formulas
 # ---------------------------------------------------------------------------
 
+def _gap_quotient(t, xi: Sequence[float], roots: Sequence[float], half: float = 1.0):
+    """prod |t - xi_i| / (pi half sqrt(prod |t - a|)) over the given roots a,
+    for a float t or an array, by the same products in the same order."""
+    array = isinstance(t, np.ndarray)
+    num = den = np.ones_like(t) if array else 1.0
+    for x0 in xi:
+        num = num * abs(t - x0)
+    for a in roots:
+        den = den * abs(t - a)
+    return num / (math.pi * half * (np.sqrt(den) if array else math.sqrt(den)))
+
+
 def density_intervals(e: IntervalUnion, xi: Sequence[float], t: float) -> float:
     """Density of an interval union at an interior point."""
     loc = e.locate(t)
     if loc.kind != "interior":
         raise DomainError(f"density needs an interior point, got {loc.kind}")
-    num = 1.0
-    for x0 in xi:
-        num *= abs(t - x0)
-    den = 1.0
-    for a in e.endpoints:
-        den *= abs(t - a)
-    return num / (math.pi * math.sqrt(den))
+    return _gap_quotient(t, xi, e.endpoints)
 
 
 def density_arc(beta: float, t: float) -> float:
@@ -365,15 +371,8 @@ def omega_limit(
     if xi is None:
         xi = solve_xi(e, tol)
     band, side = e.endpoint_band(j)
-    a = e.endpoints[j - 1]
-    num = 1.0
-    for x0 in xi:
-        num *= abs(a - x0)
-    den = 1.0
-    for i, b in enumerate(e.endpoints):
-        if i != j - 1:
-            den *= abs(a - b)
-    return EndpointData(j, num / (math.pi * math.sqrt(den)), band, side)
+    others = e.endpoints[: j - 1] + e.endpoints[j:]
+    return EndpointData(j, _gap_quotient(e.endpoints[j - 1], xi, others), band, side)
 
 
 def _neville_richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
@@ -449,14 +448,7 @@ def _interval_regular(e: IntervalUnion, xi: Sequence[float], k: int) -> Callable
     others = [a for i, a in enumerate(e.endpoints) if i not in (2 * k, 2 * k + 1)]
 
     def g(s):
-        t = c + r * np.asarray(s, dtype=float)
-        num = np.ones_like(t)
-        for x0 in xi:
-            num = num * np.abs(t - x0)
-        den = np.ones_like(t)
-        for a in others:
-            den = den * np.abs(t - a)
-        return num / (math.pi * r * np.sqrt(den))
+        return _gap_quotient(c + r * np.asarray(s, dtype=float), xi, others, r)
 
     return g
 
@@ -577,13 +569,7 @@ def interval_density(
 
     def evaluate_array(t: np.ndarray) -> np.ndarray:
         _band_index(t, e.bands)
-        num = np.ones(t.shape)      # density_intervals' products, in its order
-        for x0 in xi:
-            num *= np.abs(t - x0)
-        den = np.ones(t.shape)
-        for a in e.endpoints:
-            den *= np.abs(t - a)
-        return num / (math.pi * np.sqrt(den))
+        return _gap_quotient(t, xi, e.endpoints)
 
     density = _banded_density(e, "line", coeffs, xi, "closed-form", evaluate, evaluate_array, tol, validate)
     if validate:

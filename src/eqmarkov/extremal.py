@@ -7,7 +7,8 @@ found as the roots of P' (colleague matrix) or, for trigonometric polynomials,
 as the unimodular roots of a degree-2n polynomial in z = e^{it}.  The kernel
 takes a stack of coefficient rows, which may be zero-padded to a common
 width, and solves their eigenproblems in one call per distinct true degree;
-the LP passes a stack of one.
+the LP passes a stack of one.  `PolyBasis.design_matrix` shares the kernel's
+differentiator `_derivative` and evaluator `_values`.
 
 Sup-norm extremal problems are semi-infinite linear programs solved by cutting
 planes: start from a small Chebyshev-spaced constraint grid, solve one LP (the
@@ -22,7 +23,8 @@ is the sup of such pointwise values over the set; its sweep walks from every
 band end to the argmax of its own witness's |P^(k)|, so it is a certified
 lower bound on that sup.  L2 problems become
 generalized eigenproblems for the pencil (A, B) of derivative and plain Gram
-matrices assembled with per-band Gauss-Jacobi rules that absorb the weight's
+matrices; each mode is a pair of generalized Jacobi weights, one for P and one
+for P', assembled with per-band Gauss-Jacobi rules that absorb the weights'
 endpoint exponents exactly; the pencil is solved from row factors of A and B
 so basis conditioning enters only through its square root.
 
@@ -115,23 +117,7 @@ class PolyBasis:
     def design_matrix(self, points, deriv: int = 0) -> np.ndarray:
         """(len(points), dim) matrix of the deriv-th basis derivatives."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        if self.kind == "algebraic-chebyshev":
-            lo, hi = self.reference
-            c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            s = (pts - c) / r
-            coeffs = np.eye(self.degree + 1)
-            if deriv:
-                coeffs = _cheb.chebder(coeffs, deriv, axis=0)
-                if coeffs.shape[0] == 0:
-                    return np.zeros((pts.size, self.dim))
-            return _cheb.chebval(s, coeffs).T * r ** (-deriv)
-        cols = [np.full(pts.size, 1.0 if deriv == 0 else 0.0)]
-        shift = 0.5 * math.pi * deriv
-        for j in range(1, self.degree + 1):
-            amp = float(j) ** deriv
-            cols.append(amp * np.cos(j * pts + shift))
-            cols.append(amp * np.sin(j * pts + shift))
-        return np.stack(cols, axis=1)
+        return _values(self, _derivative(self, np.eye(self.dim), deriv), pts[None, :]).T
 
 
 @dataclass(frozen=True)
@@ -196,9 +182,9 @@ def _derivative(basis: PolyBasis, coeffs: np.ndarray, k: int) -> np.ndarray:
             out = out @ step
         return out * (0.5 * (hi - lo)) ** (-k)
     out = np.array(coeffs, dtype=float)
-    out[:, 0] = 0.0
     j = np.arange(1, basis.degree + 1)
     for _ in range(k):          # (a cos jt + b sin jt)' = j b cos jt - j a sin jt
+        out[:, 0] = 0.0
         out[:, 1::2], out[:, 2::2] = j * out[:, 2::2], -j * out[:, 1::2]
     return out
 
@@ -292,7 +278,8 @@ def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarra
 
 
 def _values(basis: PolyBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Each row of a (g, dim) stack evaluated at its own row of (g, m) points."""
+    """Each row of a (g, dim) stack evaluated at its own row of (g, m) points,
+    or every row at one shared (1, m) row."""
     if basis.kind == "algebraic-chebyshev":
         lo, hi = basis.reference
         c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -551,6 +538,21 @@ def _gauss_jacobi_band(lo: float, hi: float, alpha_left: float, alpha_right: flo
     return nodes, weights
 
 
+def _weighted_nodes(e: IntervalUnion, w: Weight, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Jacobi nodes of every band, stacked, and sqrt(weight
+    * rest) there: rest is h times |t - a|^alpha over the other endpoints."""
+    nodes, scales = [], []
+    for kband, (lo, hi) in enumerate(e.bands):
+        t, weights = _gauss_jacobi_band(lo, hi, *w.band_exponents(kband), m)
+        rest = w.evaluate_h(t)
+        for i, p in enumerate(e.endpoints):
+            if i not in (2 * kband, 2 * kband + 1):
+                rest = rest * np.abs(t - p) ** w.exponents[i]
+        nodes.append(t)
+        scales.append(np.sqrt(weights * rest))
+    return np.concatenate(nodes), np.concatenate(scales)
+
+
 def _gram_factors(
     e: IntervalUnion,
     w: Weight,
@@ -560,74 +562,36 @@ def _gram_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row factors (N, M) of the derivative/plain Gram pencil: A = N^T N, B = M^T M.
 
+    The weights for P and P' are (w, w) in markov mode, (w, w with every
+    exponent + 1) in gradient-bernstein mode, and in omega-bernstein mode
+    exponents -1/2 with h = prod|t - xi| / pi and +1/2 with
+    h = 1 / (pi prod|t - xi|), i.e. omega dt against (P' / (pi omega))^2 omega dt.
+
     The pencil is solved from the factors (QR plus one triangular solve plus an
     SVD) instead of from the assembled Gram matrices.  The factors carry
     sqrt(cond(B)) instead of cond(B), which is what keeps the eigenvalues
     basis-independent to near machine precision even for poorly scaled
     reference intervals.
     """
-    n = basis.degree
-    m = 2 * n + 40
-    b_rows: list[np.ndarray] = []
-    a_rows: list[np.ndarray] = []
-
     if mode == "omega-bernstein":
         xi = solve_xi(e, tol)
-        endpoints = e.endpoints
-        for kband, (lo, hi) in enumerate(e.bands):
-            others = [p for i, p in enumerate(endpoints) if i not in (2 * kband, 2 * kband + 1)]
+        ends = len(e.endpoints)
 
-            def gap_product(t):
-                out = np.ones_like(t)
-                for x0 in xi:
-                    out = out * np.abs(t - x0)
-                return out
+        def gap_product(t):
+            return math.prod((np.abs(t - x0) for x0 in xi), start=np.ones_like(t))
 
-            def other_roots(t):
-                out = np.ones_like(t)
-                for p in others:
-                    out = out * np.abs(t - p)
-                return out
-
-            # B: measure omega dt = gap_product / (pi sqrt(prod |t-a|)) dt
-            nodes, weights = _gauss_jacobi_band(lo, hi, -0.5, -0.5, m)
-            rest = gap_product(nodes) / (math.pi * np.sqrt(other_roots(nodes)))
-            v0 = basis.design_matrix(nodes)
-            b_rows.append(v0 * np.sqrt(weights * rest)[:, None])
-            # A: (P'/(pi omega))^2 omega dt = P'^2 sqrt(prod |t-a|)/(pi gap_product) dt
-            nodes, weights = _gauss_jacobi_band(lo, hi, 0.5, 0.5, m)
-            rest = np.sqrt(other_roots(nodes)) / (math.pi * gap_product(nodes))
-            v1 = basis.design_matrix(nodes, deriv=1)
-            a_rows.append(v1 * np.sqrt(weights * rest)[:, None])
-        return np.vstack(a_rows), np.vstack(b_rows)
-
-    for kband, (lo, hi) in enumerate(e.bands):
-        alpha_left, alpha_right = w.band_exponents(kband)
-        other = [
-            (i, p)
-            for i, p in enumerate(e.endpoints)
-            if i not in (2 * kband, 2 * kband + 1)
-        ]
-
-        def rest_factor(t):
-            out = w.evaluate_h(t)
-            for i, p in other:
-                out = out * np.abs(t - p) ** w.exponents[i]
-            return out
-
-        nodes, weights = _gauss_jacobi_band(lo, hi, alpha_left, alpha_right, m)
-        scaled = np.sqrt(weights * rest_factor(nodes))
-        v0 = basis.design_matrix(nodes)
-        b_rows.append(v0 * scaled[:, None])
-        if mode == "markov":
-            v1 = basis.design_matrix(nodes, deriv=1)
-            a_rows.append(v1 * scaled[:, None])
-        else:  # gradient-bernstein: multiplier (1-t)(1+t), exponents bumped by 1
-            nodes, weights = _gauss_jacobi_band(lo, hi, alpha_left + 1.0, alpha_right + 1.0, m)
-            scaled = np.sqrt(weights * rest_factor(nodes))
-            v1 = basis.design_matrix(nodes, deriv=1)
-            a_rows.append(v1 * scaled[:, None])
-    return np.vstack(a_rows), np.vstack(b_rows)
+        plain = Weight((-0.5,) * ends, lambda t: gap_product(t) / math.pi)
+        deriv = Weight((0.5,) * ends, lambda t: 1.0 / (math.pi * gap_product(t)))
+    elif mode == "gradient-bernstein":
+        plain, deriv = w, Weight(tuple(a + 1.0 for a in w.exponents), w.h)
+    else:
+        plain = deriv = w
+    m = 2 * basis.degree + 40
+    nodes, scale = _weighted_nodes(e, plain, m)
+    b_fac = basis.design_matrix(nodes) * scale[:, None]
+    if deriv is not plain:
+        nodes, scale = _weighted_nodes(e, deriv, m)
+    return basis.design_matrix(nodes, deriv=1) * scale[:, None], b_fac
 
 
 def l2_ratio_numeric(
@@ -736,11 +700,11 @@ def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
     return ctx
 
 
-def _probe_points(bands, tol: Tolerances, per_band: int = 64) -> np.ndarray:
+def _probe_points(bands, tol: Tolerances) -> np.ndarray:
     pieces = []
     for lo, hi in bands:
         buf = tol.frostman_buffer_rel * (hi - lo)
-        pieces.append(np.linspace(lo + buf, hi - buf, per_band))
+        pieces.append(np.linspace(lo + buf, hi - buf, 64))
     return np.concatenate(pieces)
 
 

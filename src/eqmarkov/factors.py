@@ -131,7 +131,7 @@ class Weight:
             return np.ones_like(np.asarray(t, dtype=float))
         return np.asarray(self.h(t), dtype=float)
 
-    def validate_on(self, e: IntervalUnion, grid: int = 16) -> None:
+    def validate_on(self, e: IntervalUnion) -> None:
         if len(self.exponents) != len(e.endpoints):
             raise InvalidArgumentError(
                 "weight needs one exponent per endpoint "
@@ -140,7 +140,7 @@ class Weight:
         if self.h is None:
             return
         for lo, hi in e.bands:
-            pts = np.linspace(lo, hi, grid)
+            pts = np.linspace(lo, hi, 16)
             vals = self.evaluate_h(pts)
             if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
                 raise InvalidArgumentError("h must be strictly positive on the set")
@@ -149,6 +149,12 @@ class Weight:
 def _double_factorial_odd(k: int) -> int:
     """(2k - 1)!! for k >= 1."""
     return math.prod(range(1, 2 * k, 2))
+
+
+def _endpoint_factor(scale: float, om: float, k: int) -> float:
+    """(scale pi^2 Omega^2)^k / (2k - 1)!!; scale is 8 for trigonometric
+    polynomials, 2 otherwise."""
+    return (scale * math.pi**2 * om * om) ** k / _double_factorial_odd(k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +269,7 @@ def markov_local(
     """2 pi^2 Omega_j^2: the sharp asymptotic second-order degree factor near
     endpoint j of a real set."""
     om = omega_limit(e, j, xi, tol).omega_limit
-    return FactorReport("markov-local", 2.0 * math.pi**2 * om * om, 2, True)
+    return FactorReport("markov-local", _endpoint_factor(2.0, om, 1), 2, True)
 
 
 def markov_global(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
@@ -271,12 +277,12 @@ def markov_global(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> FactorRepo
     best = max(
         omega_limit(e, j, xi, tol).omega_limit for j in range(1, 2 * e.m + 1)
     )
-    return FactorReport("markov-global", 2.0 * math.pi**2 * best * best, 2, True)
+    return FactorReport("markov-global", _endpoint_factor(2.0, best, 1), 2, True)
 
 
 def markov_local_arc(a: ArcUnion, j: int, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
     om = omega_limit_arc(a, j, tol=tol).omega_limit
-    return FactorReport("markov-local", 2.0 * math.pi**2 * om * om, 2, True)
+    return FactorReport("markov-local", _endpoint_factor(2.0, om, 1), 2, True)
 
 
 def videnskii_markov(beta: float) -> FactorReport:
@@ -289,7 +295,7 @@ def videnskii_markov(beta: float) -> FactorReport:
 def markov_trig(e: PeriodicSet, j: int, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
     """8 pi^2 (Omega_j of the circle image)^2 for trigonometric polynomials."""
     om = omega_limit_arc(gamma_of(e), j, tol=tol).omega_limit
-    return FactorReport("markov-trig", 8.0 * math.pi**2 * om * om, 2, True)
+    return FactorReport("markov-trig", _endpoint_factor(8.0, om, 1), 2, True)
 
 
 def markov_higher(
@@ -299,8 +305,7 @@ def markov_higher(
     if not (isinstance(k, int) and k >= 1):
         raise InvalidArgumentError("k must be a positive integer")
     om = omega_limit(e, j, xi, tol).omega_limit
-    value = (2.0 * math.pi**2 * om * om) ** k / _double_factorial_odd(k)
-    return FactorReport("higher-markov", value, 2 * k, True)
+    return FactorReport("higher-markov", _endpoint_factor(2.0, om, k), 2 * k, True)
 
 
 def markov_arc_endpoint(
@@ -321,8 +326,7 @@ def markov_arc_endpoint(
         )
     else:
         om = omega_limit_arc(a, j, density, tol).omega_limit
-    value = (2.0 * math.pi**2 * om * om) ** k / _double_factorial_odd(k)
-    return FactorReport("markov-arc-endpoint", value, 2 * k, True)
+    return FactorReport("markov-arc-endpoint", _endpoint_factor(2.0, om, k), 2 * k, True)
 
 
 def va_markov_exact(n: int, k: int) -> float:

@@ -272,7 +272,6 @@ def _bessel_miller(mu: float, n: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class BesselZero:
-    order: float
     zero: float
     residual: float
     bessel_residual: float = DEFAULT_TOL.bessel_residual
@@ -350,7 +349,7 @@ def bessel_smallest_zero(kappa: float, *, tol: Tolerances = DEFAULT_TOL) -> Bess
 
     if not j(zero * (1.0 - _ZERO_BRACKET)) > 0.0 > j(zero * (1.0 + _ZERO_BRACKET)):
         raise NumericFailureError(f"J_{order} does not change sign about {zero!r}")
-    return BesselZero(order, zero, abs(j(zero)), tol.bessel_residual)
+    return BesselZero(zero, abs(j(zero)), tol.bessel_residual)
 
 
 @dataclass(frozen=True)

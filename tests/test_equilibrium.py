@@ -472,6 +472,20 @@ class TestArrayEvaluate:
         assert got.tolist() == want
         assert d.evaluate(ts.tolist()).tolist() == want      # a list is an array too
 
+    def test_closed_forms_return_python_floats(self):
+        e = self.THREE
+        for xi in (solve_xi(e), interval_density(e).xi):
+            assert type(density_intervals(e, xi, 0.6)) is float
+            for j in range(1, 2 * e.m + 1):
+                assert type(omega_limit(e, j, xi).omega_limit) is float
+
+    def test_one_band_regular_part_is_an_array(self):
+        # no gap points and no other endpoints: the products are empty
+        s = np.linspace(-1.0, 1.0, 5)
+        g = _interval_regular(UNIT, [], 0)(s)
+        assert isinstance(g, np.ndarray) and g.shape == s.shape
+        assert np.allclose(g, 1.0 / math.pi, rtol=1e-15, atol=0.0)
+
     def test_scalar_in_float_out(self):
         for d, t in (
             (interval_density(TWOBAND), 0.5),

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from eqmarkov.config import Tolerances
-from eqmarkov.equilibrium import collocation_density, interval_density
+from eqmarkov.equilibrium import (
+    arc_density,
+    collocation_density,
+    interval_density,
+    omega_limit,
+    omega_limit_arc,
+    solve_xi,
+)
 from eqmarkov.errors import DomainError, InvalidArgumentError, NumericFailureError
 from eqmarkov.factors import (
     FactorReport,
@@ -234,6 +241,41 @@ class TestMarkovEndpoint:
         for k, dfact in ((2, 3.0), (3, 15.0), (4, 105.0)):
             v = markov_higher(SPLIT, 1, k, xi=list(xi)).value
             assert abs(v * dfact / base**k - 1.0) < 1e-12
+
+
+class TestEndpointFactorFormula:
+    """Every endpoint factor is (s pi^2 Omega^2)^k / (2k-1)!!, s = 2 on real
+    sets and arcs and 8 for trigonometric polynomials, to the bit."""
+
+    TWO = IntervalUnion((-1.0, -0.3, 0.2, 1.0))
+    ARCS = ArcUnion((-2.5, -0.5, 0.5, 2.5))
+
+    @staticmethod
+    def explicit(scale, om, k):
+        if k == 1:
+            return scale * math.pi**2 * om * om
+        return (scale * math.pi**2 * om * om) ** k / (1, 3, 15)[k - 1]
+
+    def test_interval_factors(self):
+        xi = solve_xi(self.TWO)
+        oms = [omega_limit(self.TWO, j, xi).omega_limit for j in range(1, 5)]
+        for j, om in enumerate(oms, start=1):
+            assert markov_local(self.TWO, j, xi).value == self.explicit(2.0, om, 1)
+            for k in (1, 2, 3):
+                assert markov_higher(self.TWO, j, k, xi).value == self.explicit(2.0, om, k)
+        assert markov_global(self.TWO).value == self.explicit(2.0, max(oms), 1)
+
+    def test_arc_and_trig_factors(self):
+        d = arc_density(self.ARCS)
+        oms = [omega_limit_arc(self.ARCS, j, d).omega_limit for j in range(1, 5)]
+        per = PeriodicSet(IntervalUnion(self.ARCS.angles))
+        for j, om in enumerate(oms, start=1):
+            assert markov_local_arc(self.ARCS, j).value == self.explicit(2.0, om, 1)
+            assert markov_trig(per, j).value == self.explicit(8.0, om, 1)
+            for k in (1, 2, 3):
+                assert markov_arc_endpoint(self.ARCS, k, j).value == self.explicit(2.0, om, k)
+        for k in (1, 2, 3):
+            assert markov_arc_endpoint(self.ARCS, k).value == self.explicit(2.0, max(oms), k)
 
 
 class TestMarkovTrigAndArc:

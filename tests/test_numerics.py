@@ -458,7 +458,7 @@ class TestValidation:
 
     def test_bessel_zero_residual_enforced(self):
         with pytest.raises(NumericFailureError):
-            BesselZero(order=0.0, zero=1.0, residual=1e-6)
+            BesselZero(zero=1.0, residual=1e-6)
 
     def test_tight_bessel_residual_enforced(self):
         z = bessel_smallest_zero(1.0)
