@@ -10,8 +10,10 @@ derivative-vs-plain Gram pencil.
 
 All output is deterministic for a fixed config and seed: JSON is emitted with
 sorted keys, CSV floats in shortest round-trip decimal.  An optional JSON
-config file supplies defaults; explicit flags win.  Exit codes: 0 success,
-2 bad input, 3 numeric failure, 4 resource limit, 5 verified violation.
+config file supplies defaults; explicit flags win.  Each subcommand takes
+only the flags and config keys it reads (`_COMMANDS`); any other exits 2.
+Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 resource limit,
+5 verified violation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +86,7 @@ class RunConfig:
     set_spec: str | None = None
     beta: float | None = None
     n: int | None = None
-    k: int = 1
+    k: int | None = None            # factors and extremal read None as 1, verify as 2
     point: str | None = None
     alpha: float | None = None
     beta_exp: float | None = None
@@ -102,7 +104,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n is not None and self.n < 1:
             raise InvalidArgumentError("--n must be a positive integer")
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise InvalidArgumentError("--k must be >= 1")
         if self.grid < 2:
             raise InvalidArgumentError("--grid must be at least 2")
@@ -122,53 +124,51 @@ class RunConfig:
 # parsing and merging
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
-    common.add_argument("--set", dest="set_spec", help="set description: inline JSON or a file path")
-    common.add_argument("--beta", type=float, help="shorthand for the periodic set [-beta, beta]")
-    common.add_argument("--n", type=int, help="polynomial degree")
-    common.add_argument("--k", type=int, help="derivative order (default 1)")
-    common.add_argument("--point", help="evaluation point: a real, or re,im for curve sets")
-    common.add_argument("--alpha", type=float, help="Jacobi weight exponent at +1")
-    common.add_argument("--beta-exp", dest="beta_exp", type=float, help="Jacobi weight exponent at -1")
-    common.add_argument("--weight", help="generalized weight as JSON: {\"exponents\": [...]}")
-    common.add_argument("--grid", type=int, help="samples per band (default 512)")
-    common.add_argument("--seed", type=int, help="RNG seed for verify (default 0)")
-    common.add_argument("--trials", type=int, help="random trials per inequality")
-    common.add_argument("--mode", choices=L2_MODES, help="l2 pencil mode (default markov)")
-    common.add_argument("--inequality", help="restrict verify to one inequality")
-    common.add_argument("--sweep", help="degree sweep n1:n2:step (inclusive)")
-    common.add_argument("--format", dest="fmt", choices=_FORMATS, help="output format (default json)")
-    common.add_argument("--out", help="output path (default: standard output)")
-    common.add_argument(
-        "--corrupt-density",
-        dest="corrupt_density",
-        action="store_true",
-        default=None,
-        help=argparse.SUPPRESS,
-    )
+# flag: (the RunConfig field it sets, its add_argument keywords)
+_FLAGS = {
+    "--set": ("set_spec", {"help": "set description: inline JSON or a file path"}),
+    "--beta": ("beta", {"type": float, "help": "shorthand for the periodic set [-beta, beta]"}),
+    "--n": ("n", {"type": int, "help": "polynomial degree"}),
+    "--k": ("k", {"type": int, "help": "derivative order (default 1; verify's va-markov: 2)"}),
+    "--point": ("point", {"help": "evaluation point: a real, or re,im for curve sets"}),
+    "--alpha": ("alpha", {"type": float, "help": "Jacobi weight exponent at +1"}),
+    "--beta-exp": ("beta_exp", {"type": float, "help": "Jacobi weight exponent at -1"}),
+    "--weight": ("weight", {"help": "generalized weight as JSON: {\"exponents\": [...]}"}),
+    "--grid": ("grid", {"type": int, "help": "samples per band (default 512)"}),
+    "--seed": ("seed", {"type": int, "help": "RNG seed for verify (default 0)"}),
+    "--trials": ("trials", {"type": int, "help": "random trials per inequality"}),
+    "--mode": ("mode", {"choices": L2_MODES, "help": "l2 pencil mode (default markov)"}),
+    "--inequality": ("inequality", {"help": "restrict verify to one inequality"}),
+    "--sweep": ("sweep", {"help": "degree sweep n1:n2:step (inclusive)"}),
+    "--format": ("fmt", {"choices": _FORMATS, "help": "output format (default json)"}),
+    "--out": ("out", {"help": "output path (default: standard output)"}),
+    "--corrupt-density":
+        ("corrupt_density", {"action": "store_true", "default": None, "help": argparse.SUPPRESS}),
+}
 
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of `command`: only its flags are added, since add_argument
+    is the costly part of building a parser."""
     parser = argparse.ArgumentParser(
         prog="eqmarkov",
         description="equilibrium measures and sharp polynomial-inequality constants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("eqdensity", "sample an equilibrium density on a uniform interior grid"),
-        ("factors", "closed-form sharp constants applicable to the inputs"),
-        ("extremal", "brute-force LP extremal values, optionally swept over degrees"),
-        ("verify", "randomized falsification of the exact inequalities"),
-        ("l2", "L2 derivative-vs-plain pencil ratios"),
-    ):
-        sub.add_parser(name, parents=[common], help=doc)
+    for name, (_, doc, flags) in _COMMANDS.items():
+        # no abbreviations: l2 --beta must not stand for --beta-exp
+        subparser = sub.add_parser(name, help=doc, allow_abbrev=False)
+        if name != command:
+            continue
+        subparser.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
+        for flag in flags.split():
+            subparser.add_argument(flag, dest=_FLAGS[flag][0], **_FLAGS[flag][1])
     return parser
 
 
-_CONFIG_KEYS = frozenset({f.name for f in fields(RunConfig)} - {"command"} | {"set", "format"})
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    # a config key is its flag without the dashes, inner dashes as underscores
+    keys = {flag[2:].replace("-", "_"): _FLAGS[flag][0] for flag in _COMMANDS[args.command][2].split()}
     merged: dict = {}
     if args.config is not None:
         try:
@@ -181,15 +181,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_conf, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
         for key, value in file_conf.items():
-            if key not in _CONFIG_KEYS:
-                raise InvalidArgumentError(f"unknown config key {key!r}")
-            merged[{"set": "set_spec", "format": "fmt"}.get(key, key)] = value
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = value
+            if key not in keys:
+                raise InvalidArgumentError(f"{args.command} reads no config key {key!r}")
+            merged[keys[key]] = value
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     return RunConfig(command=args.command, **merged)
 
 
@@ -252,6 +248,8 @@ def _resolve_weight(config: RunConfig, e: IntervalUnion) -> tuple[Weight | None,
 
 def _parse_sweep(config: RunConfig) -> list[int]:
     if config.sweep is not None:
+        if config.n is not None:
+            raise InvalidArgumentError("give either --n or --sweep, not both")
         parts = config.sweep.split(":")
         if len(parts) != 3:
             raise InvalidArgumentError("--sweep wants n1:n2:step")
@@ -348,6 +346,12 @@ def _report_entry(report, **context) -> dict:
 
 def cmd_factors(config: RunConfig) -> tuple[str, int]:
     s = _load_set(config)
+    intervals = isinstance(s, IntervalUnion)
+    if not intervals and (config.alpha, config.beta_exp, config.weight) != (None, None, None):
+        raise InvalidArgumentError("--alpha, --beta-exp and --weight weigh an interval union")
+    if config.n is not None and not (intervals and s.endpoints == (-1.0, 1.0)):
+        raise InvalidArgumentError("--n gives the va-markov degree, on the interval [-1, 1] only")
+    k = 1 if config.k is None else config.k
     point = _parse_point(config.point) if config.point is not None else None
     entries: list[dict] = []
     higher_at = None    # (point argument, JSON point) of the higher-bernstein entry
@@ -356,9 +360,9 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
         xi = solve_xi(s)
         for j in range(1, 2 * s.m + 1):
             entries.append(_report_entry(markov_local(s, j, xi), endpoint_index=j))
-            if config.k >= 2:
+            if k >= 2:
                 entries.append(
-                    _report_entry(markov_higher(s, j, config.k, xi), endpoint_index=j, order=config.k)
+                    _report_entry(markov_higher(s, j, k, xi), endpoint_index=j, order=k)
                 )
         entries.append(_report_entry(markov_global(s)))
         if point is not None:
@@ -371,11 +375,11 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
             entries.append(
                 {
                     "kind": "va-markov",
-                    "value": va_markov_exact(config.n, config.k),
+                    "value": va_markov_exact(config.n, k),
                     "degree_power": 0,
                     "asymptotic": False,
                     "degree": config.n,
-                    "order": config.k,
+                    "order": k,
                 }
             )
             if config.alpha is not None and config.beta_exp is not None:
@@ -408,7 +412,7 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
     elif isinstance(s, ArcUnion):
         for j in range(1, 2 * s.m + 1):
             entries.append(_report_entry(markov_local_arc(s, j), endpoint_index=j))
-        entries.append(_report_entry(markov_arc_endpoint(s, config.k), order=config.k))
+        entries.append(_report_entry(markov_arc_endpoint(s, k), order=k))
         if point is not None:
             entries.append(
                 _report_entry(bernstein_factor_circle_subset(s, float(point)), point=float(point))
@@ -423,9 +427,9 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
         higher_at = (z, [z.real, z.imag])
     else:
         raise InvalidArgumentError("unsupported set type for factors")
-    if higher_at is not None and config.k >= 2:
+    if higher_at is not None and k >= 2:
         at, label = higher_at
-        entries.append(_report_entry(bernstein_higher(s, at, config.k), point=label, order=config.k))
+        entries.append(_report_entry(bernstein_higher(s, at, k), point=label, order=k))
 
     entries.sort(key=lambda d: (d["kind"], d.get("endpoint_index", 0), str(d.get("point", ""))))
     if config.fmt == "csv":
@@ -452,6 +456,7 @@ def cmd_extremal(config: RunConfig) -> tuple[str, int]:
     else:
         raise InvalidArgumentError("extremal solves interval unions and periodic sets")
     degrees = _parse_sweep(config)
+    k = 1 if config.k is None else config.k
     point = None
     if config.point is not None:
         point = _parse_point(config.point)
@@ -462,13 +467,13 @@ def cmd_extremal(config: RunConfig) -> tuple[str, int]:
     for n in degrees:
         basis = PolyBasis(kind, n, reference)
         if point is None:
-            res = markov_constant_numeric(s, basis, config.k, DEFAULT_TOL)
+            res = markov_constant_numeric(s, basis, k, DEFAULT_TOL)
         else:
-            res = pointwise_derivative_sup(s, basis, float(point), config.k, DEFAULT_TOL)
+            res = pointwise_derivative_sup(s, basis, float(point), k, DEFAULT_TOL)
         results.append(
             {
                 "n": n,
-                "k": config.k,
+                "k": k,
                 "point": point,
                 "value": res.value,
                 "l_n": res.l_n,
@@ -489,7 +494,7 @@ def cmd_extremal(config: RunConfig) -> tuple[str, int]:
         "command": "extremal",
         "set": set_to_json(s),
         "basis": kind,
-        "order": config.k,
+        "order": k,
         "results": results,
     }
     return _emit_json(payload), 0
@@ -521,11 +526,12 @@ def cmd_verify(config: RunConfig) -> tuple[str, int]:
     suite = [config.inequality] if config.inequality else _default_suite(s)
     trials = config.trials if config.trials is not None else DEFAULT_TOL.verify_default_trials
     scale = 0.5 if config.corrupt_density else 1.0
+    order = 2 if config.k is None else config.k
     reports = []
     any_violation = False
     for name in sorted(suite):
         rep = verify_inequality(
-            s, name, trials=trials, rng_seed=config.seed, order=max(config.k, 2),
+            s, name, trials=trials, rng_seed=config.seed, order=order,
             density_scale=scale,
         )
         any_violation = any_violation or not rep.ok
@@ -585,12 +591,18 @@ def cmd_l2(config: RunConfig) -> tuple[str, int]:
     return _emit_json(payload), 0
 
 
+# name: (function, help, every flag it takes but --config)
 _COMMANDS = {
-    "eqdensity": cmd_eqdensity,
-    "factors": cmd_factors,
-    "extremal": cmd_extremal,
-    "verify": cmd_verify,
-    "l2": cmd_l2,
+    "eqdensity": (cmd_eqdensity, "sample an equilibrium density on a uniform interior grid",
+                  "--set --beta --grid --format --out"),
+    "factors": (cmd_factors, "closed-form sharp constants applicable to the inputs",
+                "--set --beta --n --k --point --alpha --beta-exp --weight --format --out"),
+    "extremal": (cmd_extremal, "brute-force LP extremal values, optionally swept over degrees",
+                 "--set --beta --n --sweep --point --k --format --out"),
+    "verify": (cmd_verify, "randomized falsification of the exact inequalities",
+               "--set --beta --k --seed --trials --inequality --corrupt-density --format --out"),
+    "l2": (cmd_l2, "L2 derivative-vs-plain pencil ratios",
+           "--set --n --sweep --mode --alpha --beta-exp --weight --format --out"),
 }
 
 
@@ -599,11 +611,11 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = _merge_config(args)
-        text, code = _COMMANDS[config.command](config)
+        text, code = _COMMANDS[config.command][0](config)
     except (InvalidArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

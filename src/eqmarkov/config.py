@@ -6,9 +6,9 @@ deliberate choices, not guesses; loosening one to make a test pass defeats
 the certificates built on top of them.  Fixed design constants stay in the
 code and are not knobs: the 1e12 moment-matrix ceiling in `solve_xi`, the
 1e-13 tail and 8x degree cap of `_cheb_coeffs_of`, `_ARC_QUAD_POINTS` = 256,
-the verifier's 64 probes per band, the L2 rule of 2n + 40 points, the
-16-point grid per band on which a weight's h must be positive and the 8-band
-collocation limit.
+the verifier's 64 probes per band and their buffer of 1e-3 of the band
+length, the L2 rule of 2n + 40 points, the 16-point grid per band on which a
+weight's h must be positive and the 8-band collocation limit.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ class Tolerances:
     # LP
     lp_feasibility: float = 1e-9
     lp_iteration_limit: int = 1_000_000
-    lp_max_constraints: int = 20_000
+    lp_max_constraints: int = 10_000
     lp_max_variables: int = 200
 
-    # scalar root finding / eigenvalues
+    # scalar root finding
     root_abs: float = 1e-13
-    eig_max_dim: int = 200
 
     # equilibrium measure
     xi_gap_residual: float = 1e-11       # gap-moment residual ceiling after solving

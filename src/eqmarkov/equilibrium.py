@@ -496,13 +496,10 @@ def _potential_rows(lo: float, hi: float, deg: int, points: np.ndarray, circle: 
     return -half * rows
 
 
-def frostman_profile(
-    d: EquilibriumDensity, probes: int | None = None, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def frostman_profile(d: EquilibriumDensity, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Log potential U(x) = int log(1/|x-t|) dmu(t) on interior probe points,
-    `probes` per band (default tol.frostman_probes_per_band)."""
-    if probes is None:
-        probes = tol.frostman_probes_per_band
+    tol.frostman_probes_per_band per band."""
+    probes = tol.frostman_probes_per_band
     if probes < 3:
         raise InvalidArgumentError("need at least 3 probes per band")
     spans = d.spans
@@ -521,11 +518,9 @@ def frostman_profile(
     return points, values
 
 
-def frostman_check(
-    d: EquilibriumDensity, probes: int | None = None, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def frostman_check(d: EquilibriumDensity, tol: Tolerances = DEFAULT_TOL) -> float:
     """Max - min of the log potential over probe points (ideally 0)."""
-    _, values = frostman_profile(d, probes, tol)
+    _, values = frostman_profile(d, tol)
     return float(np.max(values) - np.min(values))
 
 
@@ -649,19 +644,15 @@ def lemniscate_density(lem: Lemniscate, tol: Tolerances = DEFAULT_TOL) -> Equili
 # collocation oracle
 # ---------------------------------------------------------------------------
 
-def collocation_density(
-    s: IntervalUnion | ArcUnion,
-    tol: Tolerances = DEFAULT_TOL,
-    degree: int | None = None,
-) -> EquilibriumDensity:
+def collocation_density(s: IntervalUnion | ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensity:
     """Independent equilibrium solver: no gap points, no density formulas.
 
     Unknowns are the Chebyshev coefficients of the regular part on every band
     plus the (unknown) constant value of the potential; equations are
     potential constancy at interior Chebyshev collocation points and total
-    mass 1.  Without an explicit degree, a failure at the default degree
-    (an ill-conditioned matrix or a rejected mass or Frostman certificate)
-    triggers one degree doubling, then a hard failure.
+    mass 1.  A failure at tol.collocation_degree (an ill-conditioned matrix
+    or a rejected mass or Frostman certificate) triggers one degree doubling,
+    then a hard failure.
     """
     if isinstance(s, IntervalUnion):
         geometry = "line"
@@ -674,14 +665,10 @@ def collocation_density(
     if len(band_spans) > 8:
         raise InvalidArgumentError("collocation limited to 8 bands")
 
-    n = degree if degree is not None else tol.collocation_degree
-    attempt_degrees = [n] if degree is not None else [n, 2 * n]
-    for deg in attempt_degrees:
-        try:
-            return _collocation_at(s, band_spans, geometry, deg, tol)
-        except NumericFailureError:
-            if deg == attempt_degrees[-1]:
-                raise
+    try:
+        return _collocation_at(s, band_spans, geometry, tol.collocation_degree, tol)
+    except NumericFailureError:
+        return _collocation_at(s, band_spans, geometry, 2 * tol.collocation_degree, tol)
 
 
 def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> EquilibriumDensity:

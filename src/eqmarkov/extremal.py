@@ -408,7 +408,7 @@ class _CuttingPlaneLP:
         self.basis, self.tol = basis, tol
         self.bands = _bands_of(domain)
         per = tol.grid_per_degree * basis.degree
-        if 2 * len(self.bands) * per > tol.lp_max_constraints:
+        if len(self.bands) * per > tol.lp_max_constraints:
             raise ResourceLimitError("initial constraint grid exceeds the LP limit")
         self.grid = _chebyshev_spaced(self.bands, per)
         v_start = basis.design_matrix(self.grid)
@@ -432,7 +432,7 @@ class _CuttingPlaneLP:
         objective_w = self._to_working(objective[None, :])[0]
         refinements = 0
         while True:
-            if 2 * self.rows.shape[0] > tol.lp_max_constraints:
+            if self.rows.shape[0] > tol.lp_max_constraints:
                 raise ResourceLimitError("constraint grid exceeded the LP limit")
             solution, self.ref = _exchange(self.rows, objective_w, self.ref, tol)
             coeff = np.linalg.solve(self.r_fac, solution)
@@ -694,16 +694,17 @@ def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
         ctx["bands"] = ((-math.pi, math.pi),)
     else:
         raise InvalidArgumentError(f"unknown inequality {inequality!r}")
-    ctx["probes"] = _probe_points(ctx["bands"], tol)
+    ctx["probes"] = _probe_points(ctx["bands"])
     if density is not None:
         ctx["omega"] = density_scale * density.evaluate(ctx["probes"])
     return ctx
 
 
-def _probe_points(bands, tol: Tolerances) -> np.ndarray:
+def _probe_points(bands) -> np.ndarray:
+    """The verifier's 64 probes per band, a thousandth of its length off each end."""
     pieces = []
     for lo, hi in bands:
-        buf = tol.frostman_buffer_rel * (hi - lo)
+        buf = 1e-3 * (hi - lo)
         pieces.append(np.linspace(lo + buf, hi - buf, 64))
     return np.concatenate(pieces)
 

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, Bessel functions, LP, eigenpencils.
+"""Shared numerical kernels: quadrature, Bessel functions, LP, root finding.
 
 Everything downstream (density solvers, extremal oracles) is built on the
 handful of primitives in this module.  Conventions:
@@ -13,9 +13,8 @@ The program runs on numpy alone; `bessel_j` and `bessel_smallest_zero` take
 J_nu from Miller's recurrence and the first zero from an eigenvalue.  scipy
 serves only the oracles that tests and the benchmark still look up here by
 name, imported where they are used, never at module level: `simplex_solve`
-(HiGHS through `linprog`, the oracle for the LP exchange in `extremal`),
-`symmetric_eig_max` (the generalized `eigh`) and `gauss_legendre`
-(`roots_legendre`).
+(HiGHS through `linprog`, the oracle for the LP exchange in `extremal`) and
+`gauss_legendre` (`roots_legendre`).
 """
 
 from __future__ import annotations
@@ -122,26 +121,6 @@ def _gauss_chebyshev_rule(n: int) -> QuadratureRule:
     # are exactly antisymmetric in floating point
     nodes = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / n)
     return _read_only_rule(nodes, np.full(n, np.pi / n), "gauss-chebyshev")
-
-
-def legendre_recurrence(n: int) -> Recurrence:
-    k = np.arange(n, dtype=float)
-    a = np.zeros(n)
-    b = np.empty(n)
-    b[0] = 2.0
-    if n > 1:
-        kk = k[1:]
-        b[1:] = kk * kk / (4.0 * kk * kk - 1.0)
-    return Recurrence(a, b)
-
-
-def chebyshev1_recurrence(n: int) -> Recurrence:
-    a = np.zeros(n)
-    b = np.full(n, 0.25)
-    b[0] = np.pi
-    if n > 1:
-        b[1] = 0.5
-    return Recurrence(a, b)
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int) -> Recurrence:
@@ -440,29 +419,6 @@ def simplex_solve(
     if res.status == 3:
         return LPResult(math.inf, np.full(c.size, math.nan), "unbounded")
     raise NumericFailureError(f"LP solver failed: {res.message}")
-
-
-def symmetric_eig_max(a: np.ndarray, b: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest lambda with det(A - lambda B) = 0 for symmetric A, SPD B."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError("pencil matrices must be square and equally sized")
-    n = a.shape[0]
-    if n > tol.eig_max_dim:
-        raise InvalidArgumentError(f"pencil dimension limited to {tol.eig_max_dim}")
-    scale_a = float(np.max(np.abs(a), initial=0.0)) or 1.0
-    scale_b = float(np.max(np.abs(b), initial=0.0)) or 1.0
-    if np.max(np.abs(a - a.T)) > 1e-10 * scale_a or np.max(np.abs(b - b.T)) > 1e-10 * scale_b:
-        raise InvalidArgumentError("pencil matrices must be symmetric")
-    try:
-        np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("B is not positive definite") from exc
-    from scipy.linalg import eigh
-
-    vals = eigh(0.5 * (a + a.T), 0.5 * (b + b.T), eigvals_only=True)
-    return float(vals[-1])
 
 
 _EPS = float(np.finfo(float).eps)

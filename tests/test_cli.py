@@ -351,6 +351,148 @@ class TestPlumbing:
         assert code == 2
 
 
+# The flags each subcommand reads, written out here rather than taken from
+# the CLI's own table; every subcommand also takes --config, --format and --out.
+READS = {
+    "eqdensity": ("--set", "--beta", "--grid"),
+    "factors": ("--set", "--beta", "--n", "--k", "--point", "--alpha", "--beta-exp", "--weight"),
+    "extremal": ("--set", "--beta", "--n", "--sweep", "--point", "--k"),
+    "verify": ("--set", "--beta", "--k", "--seed", "--trials", "--inequality", "--corrupt-density"),
+    "l2": ("--set", "--n", "--sweep", "--mode", "--alpha", "--beta-exp", "--weight"),
+}
+COMMON = ("--config", "--format", "--out")
+# a valid value for each flag, and a cheap run of each subcommand that succeeds
+VALUE = {
+    "--set": [UNIT], "--beta": ["2.0"], "--n": ["4"], "--k": ["2"], "--point": ["0.5"],
+    "--alpha": ["0.5"], "--beta-exp": ["0.5"], "--weight": ['{"exponents":[1,1]}'],
+    "--grid": ["4"], "--seed": ["1"], "--trials": ["3"], "--mode": ["omega-bernstein"],
+    "--inequality": ["markov-unit"], "--sweep": ["4:5:1"], "--format": ["csv"],
+    "--corrupt-density": [],
+}
+BASE = {
+    "eqdensity": ["--set", UNIT, "--grid", "4"],
+    "factors": ["--set", UNIT],
+    "extremal": ["--set", UNIT, "--n", "4"],
+    "verify": ["--set", UNIT, "--trials", "3"],
+    "l2": ["--set", UNIT, "--n", "4"],
+}
+ALL_FLAGS = sorted(set(VALUE) | set(COMMON))
+ACCEPTED = [(c, f) for c in READS for f in READS[c] + COMMON]
+UNREAD = [(c, f) for c in READS for f in ALL_FLAGS if f not in READS[c] + COMMON]
+
+
+def outcome(capsys, argv, out_path=None):
+    """(exit code, stdout, --out file or None) of one run; argparse's own
+    rejections exit through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    written = out_path.read_text() if out_path is not None and out_path.exists() else None
+    return code, capsys.readouterr().out, written
+
+
+def _drop(argv, flags):
+    out, skip = [], False
+    for word in argv:
+        if skip:
+            skip = False
+        elif word in flags:
+            skip = True
+        else:
+            out.append(word)
+    return out
+
+
+class TestFlagTable:
+    def test_counts(self):
+        assert len(ALL_FLAGS) == 18
+        assert len(ACCEPTED) == 46 and len(UNREAD) == 44
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_unread_flag_exits_two(self, capsys, command, flag):
+        code, out, _ = outcome(capsys, [command, *BASE[command], flag, *VALUE[flag]])
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("command, flag", ACCEPTED, ids=[f"{c}{f}" for c, f in ACCEPTED])
+    def test_accepted_flag_is_read(self, capsys, tmp_path, command, flag):
+        # --beta replaces --set, and --sweep replaces --n
+        drop = {flag, {"--beta": "--set", "--sweep": "--n"}.get(flag)}
+        without = [command, *_drop(BASE[command], drop)]
+        target = tmp_path / "out.txt"
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"format": "csv"}))
+        # verify's --k defaults to 2, the others' to 1
+        value = {"--out": [str(target)], "--config": [str(conf)]}.get(flag, VALUE.get(flag))
+        if (command, flag) == ("verify", "--k"):
+            value = ["1"]
+        before = outcome(capsys, without, target)
+        after = outcome(capsys, [*without, flag, *value], target)
+        assert before != after
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_unread_config_key_exits_two(self, capsys, tmp_path, command, flag):
+        key = flag[2:].replace("-", "_")
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: None}))
+        code, out, err = run(capsys, command, *BASE[command], "--config", str(conf))
+        assert code == 2 and out == ""
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command, key", [("extremal", "set_spec"), ("l2", "fmt"), ("verify", "degree")])
+    def test_field_names_are_not_config_keys(self, capsys, tmp_path, command, key):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: UNIT}))
+        code, out, err = run(capsys, command, *BASE[command], "--config", str(conf))
+        assert code == 2 and out == ""
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command, keys, flags", [
+        ("eqdensity", {"set": UNIT, "grid": 4}, ["--set", UNIT, "--grid", "4"]),
+        ("factors", {"beta_exp": 0.5, "k": 2}, ["--set", UNIT, "--beta-exp", "0.5", "--k", "2"]),
+        ("extremal", {"sweep": "4:5:1", "point": "0.5"}, ["--set", UNIT, "--sweep", "4:5:1", "--point", "0.5"]),
+        ("verify", {"corrupt_density": True, "inequality": "bernstein-alg", "trials": 3},
+         ["--set", UNIT, "--corrupt-density", "--inequality", "bernstein-alg", "--trials", "3"]),
+        ("l2", {"mode": "omega-bernstein", "n": 4, "weight": '{"exponents":[1,1]}'},
+         ["--set", UNIT, "--mode", "omega-bernstein", "--n", "4", "--weight", '{"exponents":[1,1]}']),
+    ], ids=list(READS))
+    def test_read_config_keys_act_as_their_flags(self, capsys, tmp_path, command, keys, flags):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(keys))
+        from_file = outcome(capsys, [command, "--set", UNIT, "--config", str(conf)])
+        assert from_file == outcome(capsys, [command, *flags])
+        assert from_file[0] in (0, 5)
+
+    @pytest.mark.parametrize("command", ["extremal", "l2"])
+    def test_n_with_sweep_exits_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--set", UNIT, "--n", "8", "--sweep", "4:4:1")
+        assert code == 2 and out == ""
+        assert "not both" in err
+
+    def test_verify_order_one_differs_from_default_two(self, capsys):
+        argv = ["verify", "--set", UNIT, "--trials", "5", "--inequality", "va-markov"]
+        default = run(capsys, *argv)
+        order_one = run(capsys, *argv, "--k", "1")
+        assert default == run(capsys, *argv, "--k", "2")
+        assert default[0] == order_one[0] == 0
+        assert default[1] != order_one[1]
+
+    @pytest.mark.parametrize("args", [
+        ["--beta", "2.0", "--point", "0.5", "--alpha", "0.3"],
+        ["--set", '{"type":"circle","r":0.5}', "--point", "1.0", "--beta-exp", "0.3"],
+        ["--set", '{"type":"arcs","angles":[-2,2]}', "--weight", '{"exponents":[1,1]}'],
+        ["--beta", "2.0", "--point", "0.5", "--alpha", "0.3", "--weight", '{"exponents":[1,1]}', "--n", "9"],
+        ["--set", TWO, "--n", "9"],
+        ["--beta", "2.0", "--n", "9"],
+        ["--set", '{"type":"circle","r":0.5}', "--point", "1.0", "--n", "9"],
+    ], ids=["alpha-beta", "beta-exp-circle", "weight-arcs", "all-on-beta", "n-two-bands", "n-beta", "n-circle"])
+    def test_factors_rejects_flags_the_set_leaves_unread(self, capsys, args):
+        code, out, err = run(capsys, "factors", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 class TestFactorsBesselRange:
     """The weighted L2 Markov factor on [-1, 1] with both exponents kappa is
     0.5 / j_{(kappa-1)/2,1}; the zero is certified in (0, 100] or the run

@@ -214,7 +214,7 @@ class TestIntervalDensity:
     def test_probe_count_validated(self):
         d = interval_density(UNIT)
         with pytest.raises(InvalidArgumentError):
-            frostman_check(d, probes=2)
+            frostman_check(d, tol=Tolerances(frostman_probes_per_band=2))
 
     def test_probe_count_from_tol(self):
         with pytest.raises(InvalidArgumentError):
@@ -367,7 +367,8 @@ class TestCollocationOracle:
                 worst = max(worst, abs(dc.evaluate(t) / df.evaluate(t) - 1.0))
         assert worst < DEFAULT_TOL.oracle_agreement
         with pytest.raises(NumericFailureError, match="spread"):
-            collocation_density(narrow, degree=deg)      # an explicit degree gets one attempt
+            # degrees deg / 2 and deg: the default degree alone is rejected
+            collocation_density(narrow, Tolerances(collocation_degree=deg // 2))
 
     def test_band_limit(self):
         pts = tuple(float(v) for v in np.linspace(-1.0, 1.0, 18))

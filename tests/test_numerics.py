@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -34,15 +35,12 @@ from eqmarkov.numerics import (
     QuadratureRule,
     bessel_j,
     bessel_smallest_zero,
-    chebyshev1_recurrence,
     find_root_bracketed,
     gauss_chebyshev,
     gauss_legendre,
     golub_welsch,
     jacobi_recurrence,
-    legendre_recurrence,
     simplex_solve,
-    symmetric_eig_max,
 )
 
 
@@ -99,15 +97,30 @@ class TestGaussChebyshev:
         assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
+class TestJacobiRecurrence:
+    def test_legendre_and_chebyshev_closed_forms(self):
+        # Legendre: b_0 = 2, b_k = k^2 / (4k^2 - 1); Chebyshev (first kind):
+        # b_0 = pi, b_1 = 1/2, b_k = 1/4; a_k = 0 for both
+        for n in (1, 2, 5, 20):
+            k = np.arange(1, n)
+            legendre = np.concatenate([[2.0], k * k / (4.0 * k * k - 1.0)])
+            chebyshev = np.full(n, 0.25)
+            chebyshev[:2] = (math.pi, 0.5)[:n]
+            for (alpha, beta), want in (((0.0, 0.0), legendre), ((-0.5, -0.5), chebyshev)):
+                rec = jacobi_recurrence(alpha, beta, n)
+                assert np.all(rec.a == 0.0)
+                assert np.max(np.abs(rec.b / want - 1.0)) <= 1e-15
+
+
 class TestGolubWelsch:
     def test_chebyshev_weights_are_pi_over_n(self):
-        rule = golub_welsch(chebyshev1_recurrence(4), 4)
+        rule = golub_welsch(jacobi_recurrence(-0.5, -0.5, 4), 4)
         assert rule.weights == pytest.approx([math.pi / 4] * 4, abs=1e-14)
         direct = gauss_chebyshev(4)
         assert rule.nodes == pytest.approx(direct.nodes, abs=1e-14)
 
     def test_matches_gauss_legendre(self):
-        rule = golub_welsch(legendre_recurrence(3), 3)
+        rule = golub_welsch(jacobi_recurrence(0.0, 0.0, 3), 3)
         ref = gauss_legendre(3)
         assert rule.nodes == pytest.approx(ref.nodes, abs=1e-13)
         assert rule.weights == pytest.approx(ref.weights, abs=1e-13)
@@ -130,7 +143,7 @@ class TestGolubWelsch:
         assert rule.weights.sum() == pytest.approx(mass, abs=1e-12)
 
     def test_rejects_bad_recurrence(self):
-        rec = legendre_recurrence(5)
+        rec = jacobi_recurrence(0.0, 0.0, 5)
         bad = rec.b.copy()
         bad[2] = -1.0
         from eqmarkov.numerics import Recurrence
@@ -328,12 +341,19 @@ class TestSimplex:
         assert simplex_solve([1.0], [[1.0], [-1.0]], [0.0, -1.0]).status == "infeasible"
 
 
+def eig_max(a, b) -> float:
+    return float(eigh(a, b, eigvals_only=True)[-1])
+
+
 class TestEigMax:
+    """scipy's generalized eigh, the oracle of the QUADPACK pencil tests in
+    test_extremal, against hand values and a determinant bisection."""
+
     def test_identity_pencil(self):
-        assert symmetric_eig_max(np.eye(3), np.eye(3)) == pytest.approx(1.0, abs=1e-14)
+        assert eig_max(np.eye(3), np.eye(3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        assert symmetric_eig_max(np.diag([1.0, 4.0]), np.eye(2)) == pytest.approx(4.0, abs=1e-12)
+        assert eig_max(np.diag([1.0, 4.0]), np.eye(2)) == pytest.approx(4.0, abs=1e-12)
 
     def test_random_pencil_vs_det_bisection_oracle(self):
         rng = np.random.default_rng(11)
@@ -341,7 +361,7 @@ class TestEigMax:
         a = 0.5 * (m + m.T)
         r = rng.normal(size=(10, 10))
         b = r @ r.T + 10 * np.eye(10)
-        lam = symmetric_eig_max(a, b)
+        lam = eig_max(a, b)
 
         def det(t):
             return np.linalg.det(a - t * b)
@@ -363,13 +383,13 @@ class TestEigMax:
         a = 0.5 * (m + m.T)
         r = rng.normal(size=(6, 6))
         b = r @ r.T + 6 * np.eye(6)
-        assert symmetric_eig_max(3.5 * a, b) == pytest.approx(
-            3.5 * symmetric_eig_max(a, b), rel=1e-10
+        assert eig_max(3.5 * a, b) == pytest.approx(
+            3.5 * eig_max(a, b), rel=1e-10
         )
 
     def test_rejects_indefinite_b(self):
-        with pytest.raises(InvalidArgumentError):
-            symmetric_eig_max(np.eye(2), np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            eig_max(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def gap_cubic(u: float) -> float:
