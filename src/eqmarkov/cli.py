@@ -355,22 +355,24 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
     point = _parse_point(config.point) if config.point is not None else None
     entries: list[dict] = []
     higher_at = None    # (point argument, JSON point) of the higher-bernstein entry
+    density = None      # built once per run and passed to every factor that reads it
 
     if isinstance(s, IntervalUnion):
-        xi = solve_xi(s)
+        if point is not None:   # without it no factor reads a density, so none is certified
+            density = interval_density(s)
+        xi = solve_xi(s) if density is None else density.xi
         for j in range(1, 2 * s.m + 1):
             entries.append(_report_entry(markov_local(s, j, xi), endpoint_index=j))
             if k >= 2:
                 entries.append(
                     _report_entry(markov_higher(s, j, k, xi), endpoint_index=j, order=k)
                 )
-        entries.append(_report_entry(markov_global(s)))
+        entries.append(_report_entry(markov_global(s, xi)))
         if point is not None:
-            density = interval_density(s, xi_override=xi)
             entries.append(_report_entry(bernstein_factor(s, float(point), density), point=float(point)))
             higher_at = (float(point), float(point))
         weight, explicit = _resolve_weight(config, s)
-        entries.append(_report_entry(l2_markov_constant(s, weight if explicit else None)))
+        entries.append(_report_entry(l2_markov_constant(s, weight if explicit else None, xi)))
         if s.endpoints == (-1.0, 1.0) and config.n is not None:
             entries.append(
                 {
@@ -393,10 +395,13 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
                     }
                 )
     elif isinstance(s, PeriodicSet):
+        if config.k is not None and point is None:
+            raise InvalidArgumentError("--k orders the higher-bernstein factor, which needs --point here")
         base = s.base
         symmetric = base.m == 1 and abs(base.endpoints[0] + base.endpoints[1]) < 1e-12
+        density = arc_density(gamma_of(s))
         for j in range(1, 2 * base.m + 1):
-            entries.append(_report_entry(markov_trig(s, j), endpoint_index=j))
+            entries.append(_report_entry(markov_trig(s, j, density), endpoint_index=j))
         if symmetric:
             beta = base.endpoints[1]
             entries.append(_report_entry(videnskii_markov(beta)))
@@ -406,16 +411,17 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
                 )
         if point is not None:
             entries.append(
-                _report_entry(bernstein_factor_trig(s, float(point)), point=float(point))
+                _report_entry(bernstein_factor_trig(s, float(point), density), point=float(point))
             )
             higher_at = (float(point), float(point))
     elif isinstance(s, ArcUnion):
+        density = arc_density(s)
         for j in range(1, 2 * s.m + 1):
-            entries.append(_report_entry(markov_local_arc(s, j), endpoint_index=j))
-        entries.append(_report_entry(markov_arc_endpoint(s, k), order=k))
+            entries.append(_report_entry(markov_local_arc(s, j, density), endpoint_index=j))
+        entries.append(_report_entry(markov_arc_endpoint(s, k, density=density), order=k))
         if point is not None:
             entries.append(
-                _report_entry(bernstein_factor_circle_subset(s, float(point)), point=float(point))
+                _report_entry(bernstein_factor_circle_subset(s, float(point), density), point=float(point))
             )
     elif isinstance(s, (Circle, Lemniscate)):
         if point is None:
@@ -429,7 +435,7 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
         raise InvalidArgumentError("unsupported set type for factors")
     if higher_at is not None and k >= 2:
         at, label = higher_at
-        entries.append(_report_entry(bernstein_higher(s, at, k), point=label, order=k))
+        entries.append(_report_entry(bernstein_higher(s, at, k, density), point=label, order=k))
 
     entries.sort(key=lambda d: (d["kind"], d.get("endpoint_index", 0), str(d.get("point", ""))))
     if config.fmt == "csv":
@@ -524,6 +530,10 @@ def _default_suite(s) -> list[str]:
 def cmd_verify(config: RunConfig) -> tuple[str, int]:
     s = _load_set(config)
     suite = [config.inequality] if config.inequality else _default_suite(s)
+    if config.corrupt_density and not {"bernstein-alg", "bernstein-szego", "bernstein-trig"} & set(suite):
+        raise InvalidArgumentError("--corrupt-density scales a density that no inequality of this suite reads")
+    if config.k is not None and "va-markov" not in suite:
+        raise InvalidArgumentError("--k gives the order of va-markov, which this suite does not run")
     trials = config.trials if config.trials is not None else DEFAULT_TOL.verify_default_trials
     scale = 0.5 if config.corrupt_density else 1.0
     order = 2 if config.k is None else config.k

@@ -239,21 +239,6 @@ def _band_index(t: np.ndarray, spans) -> np.ndarray:
 # gap points (interval unions)
 # ---------------------------------------------------------------------------
 
-def _gap_weight(e: IntervalUnion, gap: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Analytic part of 1/sqrt(prod |u - a_i|) on gap `gap` (0-based): the
-    gap's own two bounding endpoints are absorbed by the cosine substitution."""
-    skip = {2 * gap + 1, 2 * gap + 2}   # 0-based endpoint indices bounding the gap
-    others = [a for i, a in enumerate(e.endpoints) if i not in skip]
-
-    def w(u: np.ndarray) -> np.ndarray:
-        den = np.ones_like(u)
-        for a in others:
-            den = den * np.abs(u - a)
-        return 1.0 / np.sqrt(den)
-
-    return w
-
-
 def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
     """Gap points xi_1 < ... < xi_{m-1}: one in each gap of E.
 
@@ -267,11 +252,15 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
     if m == 1:
         return []
     npoly = m - 1
+    # 1/sqrt(prod |u - a|) on a gap is analytic over the endpoints that do
+    # not bound it; the cosine substitution absorbs the gap's own two
+    others = [e.endpoints[: 2 * j + 1] + e.endpoints[2 * j + 3 :] for j in range(npoly)]
     powers = np.arange(npoly + 1)[:, None]
     moments = np.empty((npoly, npoly + 1))
     for j, (glo, ghi) in enumerate(e.gaps):
-        w = _gap_weight(e, j)
-        moments[j] = _sqrt_weight_integral(lambda u: u**powers * w(u), glo, ghi, tol)
+        moments[j] = _sqrt_weight_integral(
+            lambda u: u**powers * _gap_quotient(u, (), others[j], 1.0), glo, ghi, tol
+        )
     a = moments[:, :npoly]
     rhs = -moments[:, npoly]
     if np.linalg.cond(a) > 1e12:
@@ -298,13 +287,11 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
     # re-verify the defining conditions with the factored polynomial
     diam = max(1.0, e.endpoints[-1] - e.endpoints[0])
     for j, (glo, ghi) in enumerate(e.gaps):
-        w = _gap_weight(e, j)
-
         def integrand(u):
             q = np.ones_like(u)
             for x0 in xi:
                 q = q * (u - x0)
-            return q * w(u)
+            return q * _gap_quotient(u, (), others[j], 1.0)
 
         residual = abs(_sqrt_weight_integral(integrand, glo, ghi, tol))
         if residual > tol.xi_gap_residual * diam:
@@ -318,8 +305,8 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
 # pointwise density formulas
 # ---------------------------------------------------------------------------
 
-def _gap_quotient(t, xi: Sequence[float], roots: Sequence[float], half: float = 1.0):
-    """prod |t - xi_i| / (pi half sqrt(prod |t - a|)) over the given roots a,
+def _gap_quotient(t, xi: Sequence[float], roots: Sequence[float], scale: float = math.pi):
+    """prod |t - xi_i| / (scale sqrt(prod |t - a|)) over the given roots a,
     for a float t or an array, by the same products in the same order."""
     array = isinstance(t, np.ndarray)
     num = den = np.ones_like(t) if array else 1.0
@@ -327,7 +314,7 @@ def _gap_quotient(t, xi: Sequence[float], roots: Sequence[float], half: float = 
         num = num * abs(t - x0)
     for a in roots:
         den = den * abs(t - a)
-    return num / (math.pi * half * (np.sqrt(den) if array else math.sqrt(den)))
+    return num / (scale * (np.sqrt(den) if array else math.sqrt(den)))
 
 
 def density_intervals(e: IntervalUnion, xi: Sequence[float], t: float) -> float:
@@ -448,7 +435,7 @@ def _interval_regular(e: IntervalUnion, xi: Sequence[float], k: int) -> Callable
     others = [a for i, a in enumerate(e.endpoints) if i not in (2 * k, 2 * k + 1)]
 
     def g(s):
-        return _gap_quotient(c + r * np.asarray(s, dtype=float), xi, others, r)
+        return _gap_quotient(c + r * np.asarray(s, dtype=float), xi, others, math.pi * r)
 
     return g
 
@@ -524,10 +511,10 @@ def frostman_check(d: EquilibriumDensity, tol: Tolerances = DEFAULT_TOL) -> floa
     return float(np.max(values) - np.min(values))
 
 
-def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, tol, validate=True):
+def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, tol):
     """The line or circle density of s whose k-th band carries the regular
     part sum_p coeffs[k][p] T_p over the k-th span of s; its mass and
-    Frostman spread are filled in and, with validate, enforced."""
+    Frostman spread are filled in and enforced."""
     spans = s.bands if geometry == "line" else s.arcs
     bands = tuple(_Band(0.5 * (lo + hi), 0.5 * (hi - lo), c) for (lo, hi), c in zip(spans, coeffs))
     d = EquilibriumDensity(
@@ -537,26 +524,13 @@ def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, t
     )
     # the spread is measured on the finished record, so it is filled in by copy
     d = replace(d, frostman_spread=frostman_check(d, tol=tol))
-    if validate:
-        _validate_density(d, tol)
+    _validate_density(d, tol)
     return d
 
 
-def interval_density(
-    e: IntervalUnion,
-    tol: Tolerances = DEFAULT_TOL,
-    xi_override: Sequence[float] | None = None,
-    validate: bool = True,
-) -> EquilibriumDensity:
-    """Closed-form density of an interval union (the xi route).
-
-    xi_override takes gap points already solved for, or, in negative
-    controls, deliberately wrong ones; with validate=False the certificates
-    are still computed and stored but not enforced.
-    """
-    xi = list(xi_override) if xi_override is not None else solve_xi(e, tol)
-    if len(xi) != e.m - 1:
-        raise InvalidArgumentError("xi count must be m - 1")
+def interval_density(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensity:
+    """Closed-form density of an interval union (the xi route)."""
+    xi = solve_xi(e, tol)
     coeffs = [_cheb_coeffs_of(_interval_regular(e, xi, k), tol) for k in range(e.m)]
 
     def evaluate(t: float) -> float:
@@ -566,12 +540,7 @@ def interval_density(
         _band_index(t, e.bands)
         return _gap_quotient(t, xi, e.endpoints)
 
-    density = _banded_density(e, "line", coeffs, xi, "closed-form", evaluate, evaluate_array, tol, validate)
-    if validate:
-        for (glo, ghi), x0 in zip(e.gaps, xi):
-            if not glo < x0 < ghi:
-                raise NumericFailureError("a gap point lies outside its gap")
-    return density
+    return _banded_density(e, "line", coeffs, xi, "closed-form", evaluate, evaluate_array, tol)
 
 
 def _validate_density(d: EquilibriumDensity, tol: Tolerances) -> None:

@@ -10,6 +10,11 @@ square of the endpoint limit Omega, and the L2 factors combine Omega with the
 smallest positive zero of a Bessel function whose order is set by the weight's
 endpoint exponent.  Nothing in this module runs an optimization; the extremal
 module recomputes the same constants by brute force so the two can be compared.
+
+The endpoint factors of an interval union read only its gap points and take
+`xi`; the other factors that read a density take the set's `density` (of
+gamma_of(e) for a periodic set).  None builds it, so a caller that needs
+several factors of one set builds the data once and passes it to each.
 """
 
 from __future__ import annotations
@@ -234,22 +239,26 @@ def riesz_factor(s: Circle | Lemniscate, z: complex, tol: Tolerances = DEFAULT_T
     raise InvalidArgumentError("riesz_factor needs a circle or lemniscate")
 
 
-def bernstein_higher(s, point, k: int, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
+def bernstein_higher(
+    s, point, k: int, density: EquilibriumDensity | None = None, tol: Tolerances = DEFAULT_TOL
+) -> FactorReport:
     """k-th derivative pointwise factor: (first-order factor)^k.
 
     Exact for trigonometric polynomials and on circles; attained only
-    asymptotically for k >= 2 on real sets and on lemniscates.
+    asymptotically for k >= 2 on real sets and on lemniscates.  density goes
+    to the first-order factor of an interval, arc or periodic set; circles and
+    lemniscates build theirs without a solve.
     """
     if not (isinstance(k, int) and k >= 1):
         raise InvalidArgumentError("k must be a positive integer")
     if isinstance(s, IntervalUnion):
-        base = bernstein_factor(s, point, tol=tol)
+        base = bernstein_factor(s, point, density, tol)
         asym = k >= 2
     elif isinstance(s, PeriodicSet):
-        base = bernstein_factor_trig(s, point, tol=tol)
+        base = bernstein_factor_trig(s, point, density, tol)
         asym = False
     elif isinstance(s, ArcUnion):
-        base = bernstein_factor_circle_subset(s, point, tol=tol)
+        base = bernstein_factor_circle_subset(s, point, density, tol)
         asym = True
     elif isinstance(s, (Circle, Lemniscate)):
         base = riesz_factor(s, point, tol)
@@ -272,16 +281,19 @@ def markov_local(
     return FactorReport("markov-local", _endpoint_factor(2.0, om, 1), 2, True)
 
 
-def markov_global(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
-    xi = solve_xi(e, tol)
+def markov_global(e: IntervalUnion, xi=None, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
+    if xi is None:
+        xi = solve_xi(e, tol)
     best = max(
         omega_limit(e, j, xi, tol).omega_limit for j in range(1, 2 * e.m + 1)
     )
     return FactorReport("markov-global", _endpoint_factor(2.0, best, 1), 2, True)
 
 
-def markov_local_arc(a: ArcUnion, j: int, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
-    om = omega_limit_arc(a, j, tol=tol).omega_limit
+def markov_local_arc(
+    a: ArcUnion, j: int, density: EquilibriumDensity | None = None, tol: Tolerances = DEFAULT_TOL
+) -> FactorReport:
+    om = omega_limit_arc(a, j, density, tol).omega_limit
     return FactorReport("markov-local", _endpoint_factor(2.0, om, 1), 2, True)
 
 
@@ -292,9 +304,11 @@ def videnskii_markov(beta: float) -> FactorReport:
     return FactorReport("videnskii-markov", 2.0 / math.tan(0.5 * beta), 2, True)
 
 
-def markov_trig(e: PeriodicSet, j: int, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
+def markov_trig(
+    e: PeriodicSet, j: int, density: EquilibriumDensity | None = None, tol: Tolerances = DEFAULT_TOL
+) -> FactorReport:
     """8 pi^2 (Omega_j of the circle image)^2 for trigonometric polynomials."""
-    om = omega_limit_arc(gamma_of(e), j, tol=tol).omega_limit
+    om = omega_limit_arc(gamma_of(e), j, density, tol).omega_limit
     return FactorReport("markov-trig", _endpoint_factor(8.0, om, 1), 2, True)
 
 
@@ -309,7 +323,8 @@ def markov_higher(
 
 
 def markov_arc_endpoint(
-    a: ArcUnion, k: int, j: int | None = None, tol: Tolerances = DEFAULT_TOL
+    a: ArcUnion, k: int, j: int | None = None, density: EquilibriumDensity | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> FactorReport:
     """Arc version of the higher-order endpoint factor; j=None takes the worst
     endpoint (the global variant).  Closed curves have no endpoints and are
@@ -318,14 +333,10 @@ def markov_arc_endpoint(
         raise InvalidArgumentError("endpoint factors need a set with endpoints")
     if not (isinstance(k, int) and k >= 1):
         raise InvalidArgumentError("k must be a positive integer")
-    density = arc_density(a, tol)
-    if j is None:
-        om = max(
-            omega_limit_arc(a, jj, density, tol).omega_limit
-            for jj in range(1, 2 * a.m + 1)
-        )
-    else:
-        om = omega_limit_arc(a, j, density, tol).omega_limit
+    if density is None:
+        density = arc_density(a, tol)
+    ends = range(1, 2 * a.m + 1) if j is None else (j,)
+    om = max(omega_limit_arc(a, jj, density, tol).omega_limit for jj in ends)
     return FactorReport("markov-arc-endpoint", _endpoint_factor(2.0, om, k), 2 * k, True)
 
 
@@ -354,7 +365,7 @@ def nu_exponent(alpha: float, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def l2_markov_constant(
-    e: IntervalUnion, w: Weight | None = None, tol: Tolerances = DEFAULT_TOL
+    e: IntervalUnion, w: Weight | None = None, xi=None, tol: Tolerances = DEFAULT_TOL
 ) -> FactorReport:
     """max_j pi^2 Omega_j^2 / nu(alpha_j): the sharp asymptotic constant for
     sqrt(lambda_max) / n^2 in the L2 Markov problem with a generalized Jacobi
@@ -362,7 +373,8 @@ def l2_markov_constant(
     if w is None:
         w = Weight.unweighted(e)
     w.validate_on(e)
-    xi = solve_xi(e, tol)
+    if xi is None:
+        xi = solve_xi(e, tol)
     best = -math.inf
     for j in range(1, 2 * e.m + 1):
         om = omega_limit(e, j, xi, tol).omega_limit

@@ -31,6 +31,7 @@ from eqmarkov.sets import Circle, IntervalUnion, Lemniscate, PeriodicSet
 UNIT = '{"type":"intervals","endpoints":[-1,1]}'
 TWO = '{"type":"intervals","endpoints":[-1,-0.3,0.2,1]}'
 SPLIT = '{"type":"intervals","endpoints":[-1,-0.5,0.5,1]}'
+CIRCLE = '{"type":"circle","r":0.5}'
 
 
 def run(capsys, *argv):
@@ -470,6 +471,26 @@ class TestFlagTable:
         assert code == 2 and out == ""
         assert "not both" in err
 
+    @pytest.mark.parametrize("command, args", [
+        ("verify", ["--set", CIRCLE, "--trials", "3", "--corrupt-density"]),
+        ("verify", ["--set", TWO, "--trials", "3", "--inequality", "riesz-circle", "--corrupt-density"]),
+        ("verify", ["--set", TWO, "--trials", "3", "--k", "3"]),
+        ("verify", ["--set", UNIT, "--trials", "3", "--inequality", "markov-unit", "--k", "1"]),
+        ("factors", ["--beta", "2.0", "--k", "2"]),
+    ], ids=["verify-corrupt-circle", "verify-corrupt-density-free", "verify-k-two-bands",
+            "verify-k-markov-unit", "factors-k-beta-without-point"])
+    def test_flag_the_run_leaves_unread_exits_two(self, capsys, command, args):
+        code, out, err = run(capsys, command, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_corrupt_density_is_read_on_a_periodic_set(self, capsys):
+        argv = ["verify", "--beta", "1.2", "--trials", "20"]
+        before = outcome(capsys, argv)
+        after = outcome(capsys, [*argv, "--corrupt-density"])
+        assert before[0] == 0 and after[0] in (0, 5)
+        assert before != after
+
     def test_verify_order_one_differs_from_default_two(self, capsys):
         argv = ["verify", "--set", UNIT, "--trials", "5", "--inequality", "va-markov"]
         default = run(capsys, *argv)
@@ -556,24 +577,41 @@ class TestFactorsHigherBernstein:
         assert not [e for e in json.loads(out)["entries"] if e["kind"] == "higher-bernstein"]
 
 
+ARCS = '{"type":"arcs","angles":[-2.5,-0.5,0.5,2.5]}'
+
+
 class TestFactorsSolvesXiOnce:
-    def test_gap_points_are_shared(self, capsys, monkeypatch):
+    """One factors run builds its set's closed-form data once and passes it
+    to every factor: counters are patched over each module that names a
+    builder, so a second build anywhere is seen."""
+
+    BUILDERS = ("solve_xi", "interval_density", "arc_density", "_collocation_at")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import collections
+
         import eqmarkov.cli
         import eqmarkov.equilibrium
         import eqmarkov.factors
 
-        original = eqmarkov.equilibrium.solve_xi
-        calls = []
+        counts = collections.Counter()
+        for name in self.BUILDERS:
+            original = getattr(eqmarkov.equilibrium, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        for module in (eqmarkov.cli, eqmarkov.equilibrium, eqmarkov.factors):
-            monkeypatch.setattr(module, "solve_xi", counted)
+            for module in (eqmarkov.cli, eqmarkov.equilibrium, eqmarkov.factors):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_gap_points_are_shared(self, capsys, monkeypatch, builds):
         code, out, _ = run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")
         assert code == 0
-        assert len(calls) <= 5
+        assert builds == {"solve_xi": 1, "interval_density": 1}
         monkeypatch.undo()
 
         # every value is the one the factor gives with its own gap points
@@ -589,6 +627,16 @@ class TestFactorsSolvesXiOnce:
         assert {(d["kind"], d.get("endpoint_index", 0)): d["value"] for d in entries} == want
         assert len(entries) == len(want)
         assert run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")[1] == out
+
+    @pytest.mark.parametrize("args, want", [
+        (["--set", THREE, "--k", "3"], {"solve_xi": 1}),
+        (["--set", ARCS, "--point", "1.0", "--k", "2"], {"arc_density": 1, "_collocation_at": 1}),
+        (["--beta", "2.0", "--point", "0.5", "--k", "2"], {"arc_density": 1}),
+    ], ids=["bands-without-point", "two-arcs", "beta"])
+    def test_one_build_per_run(self, capsys, builds, args, want):
+        code, out, _ = run(capsys, "factors", *args)
+        assert code == 0 and out
+        assert builds == want
 
 
 # Runs CLI subcommands in one fresh interpreter and reports which scipy

@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from eqmarkov import equilibrium
 from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.equilibrium import (
     EndpointData,
     _cheb_coeffs_of,
     _cheb_log_integrals,
-    _gap_weight,
+    _gap_quotient,
     _interval_regular,
     _sqrt_weight_integral,
     arc_density,
@@ -201,15 +202,13 @@ class TestIntervalDensity:
         for t in (-0.8, -0.4, 0.5, 0.93):
             assert density_intervals(TWOBAND, xi, t) == d.evaluate(t)
 
-    def test_wrong_gap_point_fails_certificate(self):
-        bad = interval_density(SPLIT, xi_override=[0.15], validate=False)
-        assert bad.frostman_spread > 1e-3
-        with pytest.raises(NumericFailureError):
-            interval_density(SPLIT, xi_override=[0.15])
-
-    def test_wrong_gap_point_count_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            interval_density(SPLIT, xi_override=[0.0, 0.1], validate=False)
+    def test_wrong_gap_point_fails_certificate(self, monkeypatch):
+        # the true gap point of SPLIT is 0; the mass of two bands does not
+        # depend on it, so only the Frostman certificate can catch the error
+        monkeypatch.setattr(equilibrium, "solve_xi", lambda e, tol=DEFAULT_TOL: [0.15])
+        with pytest.raises(NumericFailureError, match="log potential not constant") as info:
+            interval_density(SPLIT)
+        assert float(str(info.value).rsplit(" ", 1)[1]) > 1e-3
 
     def test_probe_count_validated(self):
         d = interval_density(UNIT)
@@ -654,7 +653,10 @@ def per_moment_gap_points(e: IntervalUnion) -> list:
     and bracketed roots as the library."""
     npoly = e.m - 1
     moments = np.array([
-        [_sqrt_weight_integral(lambda u, p=p, w=_gap_weight(e, j): u**p * w(u), glo, ghi)
+        [_sqrt_weight_integral(
+            lambda u, p=p, others=e.endpoints[: 2 * j + 1] + e.endpoints[2 * j + 3 :]:
+                u**p * _gap_quotient(u, (), others, 1.0),
+            glo, ghi)
          for p in range(npoly + 1)]
         for j, (glo, ghi) in enumerate(e.gaps)
     ])
@@ -696,9 +698,10 @@ class TestBandMass:
     """The mass is pi * sum_k half_k c_{k,0}.
 
     Wrong gap points are not a test of it: on a two-band set the mass does
-    not depend on xi.  interval_density(TWOBAND, xi_override=[xi + 0.05],
-    validate=False).mass reads 1.0, QUADPACK on its regular parts agrees to
-    9e-15, and only the Frostman check (spread 0.16) rejects it."""
+    not depend on xi.  With xi moved by 0.05, the mass of TWOBAND's regular
+    parts still reads 1.0, QUADPACK on them agrees to 9e-15, and only the
+    Frostman check (spread 0.16) rejects the density, as
+    TestIntervalDensity::test_wrong_gap_point_fails_certificate requires."""
 
     @staticmethod
     def regular_parts(e):
@@ -751,11 +754,10 @@ class TestBandedConstruction:
 
     @pytest.mark.parametrize("build", [
         lambda: interval_density(TWOBAND),
-        lambda: interval_density(TWOBAND, xi_override=[solve_xi(TWOBAND)[0] + 0.05], validate=False),
         lambda: arc_density(ArcUnion((-1.4, 2.0))),
         lambda: collocation_density(TWOBAND),
         lambda: collocation_density(PAIR),
-    ], ids=["interval", "wrong-xi-unvalidated", "arc", "collocation-line", "collocation-arcs"])
+    ], ids=["interval", "arc", "collocation-line", "collocation-arcs"])
     def test_stored_certificates(self, build):
         d = build()
         assert [(b.center, b.half) for b in d.bands] == [

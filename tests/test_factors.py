@@ -278,6 +278,41 @@ class TestEndpointFactorFormula:
             assert markov_arc_endpoint(self.ARCS, k).value == self.explicit(2.0, max(oms), k)
 
 
+class TestPreparedData:
+    """A factor given its set's data returns the report it builds alone: xi
+    for the endpoint factors of an interval union, the density otherwise."""
+
+    THREE = IntervalUnion((-1.0, -0.6, -0.2, 0.3, 0.5, 1.0))
+    ARCS = ArcUnion((-2.5, -0.5, 0.5, 2.5))
+    PERIODIC = PeriodicSet(IntervalUnion((-2.0, 2.0)))
+
+    def test_interval_union(self):
+        e = self.THREE
+        d = interval_density(e)
+        w = Weight((0.5, 0.0, 1.0, 0.2, 0.0, 2.0))
+        assert markov_global(e, d.xi) == markov_global(e)
+        assert l2_markov_constant(e, None, d.xi) == l2_markov_constant(e)
+        assert l2_markov_constant(e, w, d.xi) == l2_markov_constant(e, w)
+        for k in (1, 3):
+            assert bernstein_higher(e, 0.6, k, d) == bernstein_higher(e, 0.6, k)
+
+    def test_arc_union(self):
+        a = self.ARCS
+        d = arc_density(a)
+        for j in range(1, 5):
+            assert markov_local_arc(a, j, d) == markov_local_arc(a, j)
+            assert markov_arc_endpoint(a, 2, j, d) == markov_arc_endpoint(a, 2, j)
+        assert markov_arc_endpoint(a, 2, density=d) == markov_arc_endpoint(a, 2)
+        assert bernstein_higher(a, 1.0, 2, d) == bernstein_higher(a, 1.0, 2)
+
+    def test_periodic_set(self):
+        per = self.PERIODIC
+        d = arc_density(gamma_of(per))
+        for j in (1, 2):
+            assert markov_trig(per, j, d) == markov_trig(per, j)
+        assert bernstein_higher(per, 0.5, 2, d) == bernstein_higher(per, 0.5, 2)
+
+
 class TestMarkovTrigAndArc:
     def test_single_interval_identity(self):
         for beta in (1.0, 0.5 * math.pi, 2.0):
