@@ -238,7 +238,7 @@ def _resolve_weight(config: RunConfig, e: IntervalUnion) -> tuple[Weight | None,
                 raise InvalidArgumentError(f"malformed weight JSON: {exc}") from exc
         if not isinstance(data, dict) or "exponents" not in data:
             raise InvalidArgumentError("weight JSON must be {\"exponents\": [...]}")
-        return Weight(tuple(float(v) for v in data["exponents"])), True
+        return Weight(tuple([float(v) for v in data["exponents"]])), True
     if jacobi_given:
         if e.endpoints != (-1.0, 1.0):
             raise InvalidArgumentError("--alpha/--beta-exp describe a Jacobi weight on [-1, 1]")
@@ -358,9 +358,9 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
     density = None      # built once per run and passed to every factor that reads it
 
     if isinstance(s, IntervalUnion):
-        if point is not None:   # without it no factor reads a density, so none is certified
-            density = interval_density(s)
-        xi = solve_xi(s) if density is None else density.xi
+        # certified also without --point: the endpoint factors read its xi
+        density = interval_density(s)
+        xi = density.xi
         for j in range(1, 2 * s.m + 1):
             entries.append(_report_entry(markov_local(s, j, xi), endpoint_index=j))
             if k >= 2:
@@ -537,12 +537,17 @@ def cmd_verify(config: RunConfig) -> tuple[str, int]:
     trials = config.trials if config.trials is not None else DEFAULT_TOL.verify_default_trials
     scale = 0.5 if config.corrupt_density else 1.0
     order = 2 if config.k is None else config.k
+    density = None      # built once, for the inequalities that read one
+    if {"bernstein-alg", "bernstein-szego"} & set(suite) and isinstance(s, IntervalUnion):
+        density = interval_density(s)
+    elif "bernstein-trig" in suite and isinstance(s, PeriodicSet):
+        density = arc_density(gamma_of(s))
     reports = []
     any_violation = False
     for name in sorted(suite):
         rep = verify_inequality(
             s, name, trials=trials, rng_seed=config.seed, order=order,
-            density_scale=scale,
+            density_scale=scale, density=density,
         )
         any_violation = any_violation or not rep.ok
         reports.append(
@@ -585,9 +590,10 @@ def cmd_l2(config: RunConfig) -> tuple[str, int]:
         raise InvalidArgumentError("l2 ratios are defined for interval unions")
     weight, explicit = _resolve_weight(config, s)
     degrees = _parse_sweep(config)
+    xi = solve_xi(s) if config.mode == "omega-bernstein" else None
     rows = []
     for n in degrees:
-        value = l2_ratio_numeric(s, weight if explicit else None, n, mode=config.mode)
+        value = l2_ratio_numeric(s, weight if explicit else None, n, mode=config.mode, xi=xi)
         rows.append({"n": n, "value": value, "value_over_n2": value / (n * n)})
     if config.fmt == "csv":
         table = [[r["n"], float(r["value"]), float(r["value_over_n2"])] for r in rows]

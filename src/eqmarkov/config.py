@@ -7,8 +7,10 @@ the certificates built on top of them.  Fixed design constants stay in the
 code and are not knobs: the 1e12 moment-matrix ceiling in `solve_xi`, the
 1e-13 tail and 8x degree cap of `_cheb_coeffs_of`, `_ARC_QUAD_POINTS` = 256,
 the verifier's 64 probes per band and their buffer of 1e-3 of the band
-length, the L2 rule of 2n + 40 points, the 16-point grid per band on which a
-weight's h must be positive and the 8-band collocation limit.
+length, its 16 sample points per band and unit of degree for the bounds that
+decide which trials get the exact kernel, the L2 rule of 2n + 40 points, the
+16-point grid per band on which a weight's h must be positive and the 8-band
+collocation limit.
 """
 
 from __future__ import annotations

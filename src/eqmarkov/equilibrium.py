@@ -516,7 +516,7 @@ def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, t
     part sum_p coeffs[k][p] T_p over the k-th span of s; its mass and
     Frostman spread are filled in and enforced."""
     spans = s.bands if geometry == "line" else s.arcs
-    bands = tuple(_Band(0.5 * (lo + hi), 0.5 * (hi - lo), c) for (lo, hi), c in zip(spans, coeffs))
+    bands = tuple([_Band(0.5 * (lo + hi), 0.5 * (hi - lo), c) for (lo, hi), c in zip(spans, coeffs)])
     d = EquilibriumDensity(
         set=s, geometry=geometry, xi=tuple(xi), mass=_band_mass(bands),
         frostman_spread=math.nan, method=method, bands=bands, _eval=evaluate,

@@ -31,11 +31,15 @@ so basis conditioning enters only through its square root.
 verify_inequality is the falsification harness: it throws seeded random
 polynomials at every non-asymptotic inequality in the catalog and reports any
 ratio that exceeds 1 beyond floating-point slack.  The trials are drawn one
-by one and then checked as one zero-padded stack, so a report takes every
-norm from a single kernel call and every pointwise left-hand side from one
-product with probe design matrices built once.  Every norm in a ratio is
-the exact kernel's, so an undersampled norm can never manufacture a spurious
-violation; pointwise left-hand sides are sampled on fixed probe points.
+by one and then checked as one zero-padded stack, so every pointwise
+left-hand side comes from one product with probe design matrices built once.
+A report keeps only the largest ratio and the violations, so sampling bounds
+each ratio from above first (Ehlich & Zeller on a band, Riesz's lemma on the
+full period), and the exact kernel runs only on the trials whose bound can
+reach the largest ratio or a violation.  Every ratio a report keeps is
+therefore the exact kernel's, so an undersampled norm can never manufacture
+a spurious violation; pointwise left-hand sides are sampled on fixed probe
+points.
 """
 
 from __future__ import annotations
@@ -211,17 +215,19 @@ def _companion(c: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _roots(rows: np.ndarray, companion, fill: complex) -> np.ndarray:
-    """Roots of every row of a stack of series, sorted per row as chebroots
-    and polyroots sort them, from one eigvals call per distinct degree.
+def _roots(rows: np.ndarray, companion, fill: complex, keep=None) -> np.ndarray:
+    """Roots of every row of a stack of series, or of its rows `keep`, sorted
+    per row as chebroots and polyroots sort them, from one eigvals call per
+    distinct degree.
 
     Trailing zeros lower a row's degree, as in numpy; a row with fewer roots
-    than the widest is padded with `fill`.
+    than the widest row of the whole stack is padded with `fill`.
     """
     size = np.max((rows != 0.0) * np.arange(1, rows.shape[1] + 1), axis=1)
-    widths = set(size.tolist())
-    out = np.full((rows.shape[0], max(max(widths) - 1, 0)), fill, dtype=complex)
-    for width in widths - {0, 1}:
+    out = np.full((rows.shape[0], max(int(np.max(size)) - 1, 0)), fill, dtype=complex)
+    if keep is not None:
+        rows, size, out = rows[keep], size[keep], out[keep]
+    for width in set(size.tolist()) - {0, 1}:
         sel = size == width
         c = rows[sel, :width]
         roots = -c[:, :1] / c[:, 1:] if width == 2 else np.linalg.eigvals(companion(c))
@@ -229,9 +235,10 @@ def _roots(rows: np.ndarray, companion, fill: complex) -> np.ndarray:
     return out
 
 
-def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
+def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Every point where |P| can attain its maximum over the bands, and |P|
-    there, for each row of a (g, dim) stack of coefficients.
+    there, for each row of a (g, dim) stack of coefficients, or for its rows
+    `keep` only, each exactly as in the whole stack.
 
     These are the band ends and the critical points of P, so the largest
     value of a row is its exact sup norm.  Critical points are the real roots
@@ -250,15 +257,20 @@ def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarra
     or spurious candidate is still a point of the set, so it can only raise
     the maximum towards the sup, never past it.  Returns (g, m) arrays of
     points and of |P| at them.
+
+    The candidate count, and with it the rounding of a trigonometric row's
+    values, depends on the widest row of the stack, and numpy multiplies a
+    one-row stack by a matrix-vector product that rounds unlike the stack's
+    matrix product.  So `keep` solves only the rows it names, but takes the
+    derivative and sizes the candidates from the whole stack.
     """
-    g = coeffs.shape[0]
     deriv = _derivative(basis, coeffs, 1)
     if basis.kind == "algebraic-chebyshev":
         ref_lo, ref_hi = basis.reference
-        crit = 0.5 * (ref_lo + ref_hi) + 0.5 * (ref_hi - ref_lo) * _roots(deriv, _colleague, 0.0).real
+        crit = 0.5 * (ref_lo + ref_hi) + 0.5 * (ref_hi - ref_lo) * _roots(deriv, _colleague, 0.0, keep).real
     else:
         n = basis.degree
-        zcoeffs = np.empty((g, 2 * n + 1), dtype=complex)    # z^0 .. z^2n of z^n P'
+        zcoeffs = np.empty((deriv.shape[0], 2 * n + 1), dtype=complex)    # z^0 .. z^2n of z^n P'
         zcoeffs[:, n] = deriv[:, 0]
         zcoeffs[:, n + 1 :] = 0.5 * (deriv[:, 1::2] - 1j * deriv[:, 2::2])
         zcoeffs[:, :n] = np.conj(zcoeffs[:, n + 1 :])[:, ::-1]
@@ -266,7 +278,10 @@ def _abs_extrema(basis: PolyBasis, coeffs: np.ndarray, bands) -> tuple[np.ndarra
         # rotating its leading zeros to the top leaves that polynomial
         first = np.argmax(zcoeffs != 0.0, axis=1)
         shift = (first[:, None] + np.arange(2 * n + 1)) % (2 * n + 1)
-        crit = np.angle(_roots(np.take_along_axis(zcoeffs, shift, axis=1), _companion, 1.0))
+        crit = np.angle(_roots(np.take_along_axis(zcoeffs, shift, axis=1), _companion, 1.0, keep))
+    if keep is not None:
+        coeffs = coeffs[keep]
+    g = coeffs.shape[0]
     # per band: its two ends, then every root clipped into it
     points = np.empty((g, len(bands), 2 + crit.shape[1]))
     for i, (lo, hi) in enumerate(bands):
@@ -289,25 +304,78 @@ def _values(basis: PolyBasis, coeffs: np.ndarray, points: np.ndarray) -> np.ndar
                             + np.sin(phase) @ coeffs[:, 2::2, None])[:, :, 0]
 
 
-def _sup_norm(basis: PolyBasis, coeffs: np.ndarray, bands) -> np.ndarray:
-    """Exact sup norm over the bands of each row of a (g, dim) stack."""
-    return np.max(_abs_extrema(basis, coeffs, bands)[1], axis=1)
+def _sup_norm(basis: PolyBasis, coeffs: np.ndarray, bands, keep=None) -> np.ndarray:
+    """Exact sup norm over the bands of each row of a (g, dim) stack, or of
+    its rows `keep` (see `_abs_extrema`)."""
+    return np.max(_abs_extrema(basis, coeffs, bands, keep)[1], axis=1)
 
 
-def _circle_norm(coeffs: np.ndarray) -> np.ndarray:
-    """max |P(z)| on |z| = 1 for each row of a (g, n + 1) stack of real power
-    coefficients.
+def _circle_square(coeffs: np.ndarray) -> np.ndarray:
+    """|P(e^{it})|^2 as a Chebyshev series in x = cos t, for each row of a
+    (g, n + 1) stack of real power coefficients.
 
     |P(e^{it})|^2 = rho_0 + 2 sum_m rho_m cos(mt) = sum_m c_m T_m(cos t),
     with rho the autocorrelation of the coefficients, c_0 = rho_0 and
-    c_m = 2 rho_m: a Chebyshev series of the same degree in x = cos t, whose
-    max over [-1, 1] the algebraic kernel finds from a real colleague
-    matrix of order n - 1.
+    c_m = 2 rho_m: a series of the same degree, whose max over [-1, 1] is the
+    squared norm of P on the unit circle.
     """
     n = coeffs.shape[1] - 1
     square = np.stack([np.sum(coeffs[:, : n + 1 - m] * coeffs[:, m:], axis=1) for m in range(n + 1)], axis=1)
     square[:, 1:] *= 2.0
-    return np.sqrt(_sup_norm(PolyBasis("algebraic-chebyshev", n), square, ((-1.0, 1.0),)))
+    return square
+
+
+def _circle_norm(coeffs: np.ndarray, keep=None) -> np.ndarray:
+    """max |P(z)| on |z| = 1 for each row of a (g, n + 1) stack of real power
+    coefficients, or of its rows `keep`, from the algebraic kernel on
+    `_circle_square` (a real colleague matrix of order n - 1)."""
+    basis = PolyBasis("algebraic-chebyshev", coeffs.shape[1] - 1)
+    return np.sqrt(_sup_norm(basis, _circle_square(coeffs), ((-1.0, 1.0),), keep))
+
+
+def _roundoff(basis: PolyBasis, coeffs: np.ndarray) -> np.ndarray:
+    """A bound on the round-off of |P| evaluated at a point of the set, for
+    each row of a (g, dim) stack: dim^2 eps sum|c|.  Every basis function is
+    at most 1 in modulus there, and dim^2 covers the error growth of the
+    Chebyshev recurrence near the band ends."""
+    return basis.dim**2 * np.finfo(float).eps * np.sum(np.abs(coeffs), axis=1)
+
+
+def _sampled_bounds(basis: PolyBasis, coeffs: np.ndarray, bands, m: int, degree: np.ndarray):
+    """(lower, upper) with lower <= `_sup_norm` <= upper for each row of a
+    (g, dim) stack, from values at sample points of the set alone; row i has
+    degree degree[i] < m.
+
+    lower is the largest |P| at the band ends and at m points per band.
+    upper divides that largest value by cos(d pi / (2m)), the sampling
+    inequality: for an algebraic polynomial of degree d sampled at the m
+    Chebyshev points of the first kind of each band, in the band's own
+    variable, it is Ehlich & Zeller's (Math. Z. 1964); for a trigonometric
+    polynomial of degree d sampled at 2m equispaced points of the full period
+    it is Riesz's lemma.  No such inequality holds on a proper sub-arc, where
+    upper is inf.  Both bounds allow `_roundoff` twice, once for these
+    samples and once for the kernel's own evaluation, so they hold as
+    computed.
+    """
+    full_period = basis.kind == "trigonometric" and bands[0][1] - bands[0][0] >= 2.0 * math.pi
+    if full_period:
+        nodes = bands[0][0] + (math.pi / m) * np.arange(2 * m)
+    else:
+        first_kind = np.cos((np.arange(1, m + 1) - 0.5) * (math.pi / m))
+        nodes = np.concatenate([[lo, hi, *(0.5 * (lo + hi) + 0.5 * (hi - lo) * first_kind)] for lo, hi in bands])
+    if basis.kind == "algebraic-chebyshev":
+        lo, hi = basis.reference
+        rows = _cheb.chebvander((nodes - 0.5 * (lo + hi)) / (0.5 * (hi - lo)), basis.degree)
+    else:                                           # e^{ijt} = cos jt + i sin jt
+        powers = np.cumprod(np.repeat(np.exp(1j * nodes)[:, None], basis.degree, axis=1), axis=1)
+        rows = np.empty((nodes.size, basis.dim))
+        rows[:, 0], rows[:, 1::2], rows[:, 2::2] = 1.0, powers.real, powers.imag
+    values = coeffs @ rows.T
+    sampled = np.maximum(np.max(values, axis=1), -np.min(values, axis=1))
+    slack = 2.0 * _roundoff(basis, coeffs)
+    if basis.kind == "trigonometric" and not full_period:
+        return sampled - slack, np.full(sampled.shape, np.inf)
+    return sampled - slack, (sampled + slack) / np.cos(degree * (0.5 * math.pi / m))
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +398,16 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
     vertex, pivots whose step is at round-off can cycle, so the references
     they leave are recorded.  The first repeat restarts from there on an
     objective perturbed by about 1e-7 relative, whose optimal reference the
-    true objective then resumes from; a second repeat raises.
+    true objective then resumes from; a second repeat raises.  A pivot
+    |d_i| at round-off relative to max |d| never leaves, since it would make
+    the reference singular.  On a reference that is already singular to
+    round-off the ratio test can find no leaving row at all; the row of the
+    largest |d_i| leaves then, and that step counts as a round-off step.
 
     Returns x and the final reference.
     """
     threshold = 1.0 + min(tol.cert_slack, tol.lp_feasibility)
+    pivot_floor = rows.shape[1] * np.finfo(float).eps
     pivots = 0
     target, seen, restarted = objective, set(), False
     while True:
@@ -360,14 +433,20 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
         # w_B(t) = w - t d as the entering weight grows to t sign(r); each
         # |w_i| that reaches zero raises the slope 1 - excess by 2 |d_i|
         d = math.copysign(1.0, r[enter]) * np.linalg.solve(basic.T, rows[enter])
-        cand = np.flatnonzero(s * d > 0.0)
-        order = np.argsort(np.abs(w[cand]) / np.abs(d[cand]), kind="stable")
-        slope = 1.0 - excess + 2.0 * np.cumsum(np.abs(d[cand[order]]))
+        size = np.abs(d)
+        # a pivot on a |d_i| at round-off would leave the reference singular
+        cand = np.flatnonzero(s * d > pivot_floor * size.max())
+        order = np.argsort(np.abs(w[cand]) / size[cand], kind="stable")
+        slope = 1.0 - excess + 2.0 * np.cumsum(size[cand[order]])
         stop = np.flatnonzero(slope >= 0.0)
-        if stop.size == 0:
-            raise NumericFailureError("LP exchange found no leaving row (unbounded dual)")
-        leave = cand[order[stop[0]]]
-        if abs(w[leave]) <= w.size * np.finfo(float).eps * np.sum(np.abs(w)):
+        if stop.size:
+            leave = cand[order[stop[0]]]
+        else:
+            # x = 0 is feasible, so the dual is bounded: the reference is
+            # singular to round-off.  The largest pivot |d_i| swaps out the
+            # row that the entering row best replaces.
+            leave = int(np.argmax(size))
+        if stop.size == 0 or abs(w[leave]) <= w.size * np.finfo(float).eps * np.sum(np.abs(w)):
             # a step at round-off: on a degenerate vertex these can cycle
             key = tuple(sorted(ref.tolist()))
             if key in seen:
@@ -464,8 +543,8 @@ class _CuttingPlaneLP:
             raise NumericFailureError("extremal witness does not reproduce the LP value")
         return ExtremalResult(
             value=value,
-            coefficients=tuple(float(c) for c in coeff),
-            grid=tuple(float(g) for g in np.sort(self.grid)),
+            coefficients=tuple(coeff.tolist()),
+            grid=tuple(np.sort(self.grid).tolist()),
             refinements=refinements,
             certified_norm=certified,
             degree=basis.degree,
@@ -559,13 +638,15 @@ def _gram_factors(
     basis: PolyBasis,
     mode: str,
     tol: Tolerances,
+    xi=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row factors (N, M) of the derivative/plain Gram pencil: A = N^T N, B = M^T M.
 
     The weights for P and P' are (w, w) in markov mode, (w, w with every
     exponent + 1) in gradient-bernstein mode, and in omega-bernstein mode
     exponents -1/2 with h = prod|t - xi| / pi and +1/2 with
-    h = 1 / (pi prod|t - xi|), i.e. omega dt against (P' / (pi omega))^2 omega dt.
+    h = 1 / (pi prod|t - xi|), i.e. omega dt against (P' / (pi omega))^2 omega dt;
+    xi are the gap points of e, solved here when None.
 
     The pencil is solved from the factors (QR plus one triangular solve plus an
     SVD) instead of from the assembled Gram matrices.  The factors carry
@@ -574,7 +655,7 @@ def _gram_factors(
     reference intervals.
     """
     if mode == "omega-bernstein":
-        xi = solve_xi(e, tol)
+        xi = solve_xi(e, tol) if xi is None else xi
         ends = len(e.endpoints)
 
         def gap_product(t):
@@ -583,7 +664,7 @@ def _gram_factors(
         plain = Weight((-0.5,) * ends, lambda t: gap_product(t) / math.pi)
         deriv = Weight((0.5,) * ends, lambda t: 1.0 / (math.pi * gap_product(t)))
     elif mode == "gradient-bernstein":
-        plain, deriv = w, Weight(tuple(a + 1.0 for a in w.exponents), w.h)
+        plain, deriv = w, Weight(tuple([a + 1.0 for a in w.exponents]), w.h)
     else:
         plain = deriv = w
     m = 2 * basis.degree + 40
@@ -601,12 +682,15 @@ def l2_ratio_numeric(
     mode: str = "markov",
     tol: Tolerances = DEFAULT_TOL,
     reference: tuple[float, float] | None = None,
+    xi=None,
 ) -> float:
     """sqrt of the largest eigenvalue of the derivative-vs-plain Gram pencil.
 
     mode=markov compares ||P'|| to ||P|| in L2(w); gradient-bernstein inserts
     the multiplier (1-x^2) and therefore requires E = [-1, 1]; omega-bernstein
-    ignores w and measures P'/(pi * density) in L2(equilibrium measure).
+    ignores w and measures P'/(pi * density) in L2(equilibrium measure);
+    there xi may pass the gap points of e, so that a sweep over degrees
+    solves them once.
     """
     if mode not in L2_MODES:
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -620,7 +704,7 @@ def l2_ratio_numeric(
     ):
         raise InvalidArgumentError("gradient-bernstein mode is defined on [-1, 1] only")
     basis = PolyBasis("algebraic-chebyshev", n, reference or e.covering_interval)
-    a_fac, b_fac = _gram_factors(e, w, basis, mode, tol)
+    a_fac, b_fac = _gram_factors(e, w, basis, mode, tol, xi)
     cond_b = float(np.linalg.cond(b_fac)) ** 2
     if not np.isfinite(cond_b) or cond_b > tol.basis_cond_max:
         raise NumericFailureError(
@@ -667,10 +751,12 @@ class VerifyReport:
         return not self.violations
 
 
-def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
-    """Everything degree-independent a single inequality check needs."""
+def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float, density):
+    """Everything degree-independent a single inequality check needs.  Only
+    the density-based inequalities read density, which must then be that of
+    s (of gamma_of(s) on a periodic set); None builds it."""
     ctx = {"kind": "algebraic-chebyshev", "reference": (-1.0, 1.0)}
-    density = None
+    owner = None        # the set whose density the inequality reads
     if inequality in ("bernstein-unit", "markov-unit", "va-markov", "szego-unit"):
         if not (isinstance(s, IntervalUnion) and s.endpoints == (-1.0, 1.0)):
             raise InvalidArgumentError(f"{inequality} is specific to [-1, 1]")
@@ -680,13 +766,17 @@ def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
             raise InvalidArgumentError(f"{inequality} needs an interval union")
         ctx["bands"] = s.bands
         ctx["reference"] = s.covering_interval
-        density = interval_density(s, tol)
+        owner = s
+        if density is None:
+            density = interval_density(s, tol)
     elif inequality == "bernstein-trig":
         if not isinstance(s, PeriodicSet):
             raise InvalidArgumentError("bernstein-trig needs a periodic set")
         ctx["bands"] = s.base.bands
         ctx["kind"] = "trigonometric"
-        density = arc_density(gamma_of(s), tol)
+        owner = gamma_of(s)
+        if density is None:
+            density = arc_density(owner, tol)
     elif inequality == "trig-full-period":
         ctx["bands"] = ((-math.pi, math.pi),)
         ctx["kind"] = "trigonometric"
@@ -695,7 +785,9 @@ def _verify_context(s, inequality: str, tol: Tolerances, density_scale: float):
     else:
         raise InvalidArgumentError(f"unknown inequality {inequality!r}")
     ctx["probes"] = _probe_points(ctx["bands"])
-    if density is not None:
+    if owner is not None:
+        if density.set != owner:
+            raise InvalidArgumentError(f"{inequality} was given the density of another set")
         ctx["omega"] = density_scale * density.evaluate(ctx["probes"])
     return ctx
 
@@ -709,48 +801,108 @@ def _probe_points(bands) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _ratios(inequality: str, ctx, n: np.ndarray, k: int, coeffs: np.ndarray) -> np.ndarray:
-    """Worst LHS/RHS ratio of each random polynomial in a (trials, dim) stack,
-    row i of degree n[i] and padded with zeros to the widest row; > 1 means
-    violation."""
+# sample points per band and unit of degree in the verifier's bounds: the
+# sampling inequality's factor 1 / cos(d pi / (2m)) is then at most 1.0049
+_SAMPLES_PER_DEGREE = 16
+
+
+def _ratios(inequality: str, ctx, n: np.ndarray, k: int, coeffs: np.ndarray, hard: float) -> np.ndarray:
+    """LHS/RHS ratio of each random polynomial in a (trials, dim) stack, row
+    i of degree n[i] and padded with zeros to the widest row; > hard means
+    violation.
+
+    Each ratio is a left side over scale * norm**power, where norm is the
+    exact sup norm of P (on the unit circle for riesz-circle) and the left
+    side is either sampled on the probes or the exact sup norm of a
+    derivative.  `_sampled_bounds` gives a cheap upper bound hi on every
+    ratio: a sampled lower bound on the norm, and the sampling inequality's
+    upper bound on a left-side sup norm.  `_exact_where_needed` then runs
+    the exact kernel only on the trials whose hi can reach the largest ratio
+    or exceed hard.  So the result is each ratio exactly as the full stack
+    would give it wherever it can change a report, and hi elsewhere, which
+    is below both.
+    """
     bands, probes = ctx["bands"], ctx["probes"]
     top = int(np.max(n))
+    basis = PolyBasis(ctx["kind"], top, ctx["reference"])
+    m = _SAMPLES_PER_DEGREE * top
+    scale, power = n, 1
+    left_of = None              # the stack whose sup norm is the left side, if it is one
     if inequality == "riesz-circle":
         # P'(e^{it}) = sum_j (j + 1) c_{j+1} (cos jt + i sin jt)
         dcoeffs = coeffs[:, 1:] * np.arange(1, top + 1)
         phase = np.outer(np.arange(top), probes)
-        lhs = np.max(np.hypot(dcoeffs @ np.cos(phase), dcoeffs @ np.sin(phase)), axis=1)
-        return lhs / (n * _circle_norm(coeffs))
+        left = np.max(np.hypot(dcoeffs @ np.cos(phase), dcoeffs @ np.sin(phase)), axis=1)
+        # basis is T_0..T_top of [-1, 1], in which |P|^2 is a series in cos t
+        square = _sampled_bounds(basis, _circle_square(coeffs), ((-1.0, 1.0),), m, n)[0]
+        low = np.sqrt(np.maximum(square, 0.0))
+    else:
+        low = _sampled_bounds(basis, coeffs, bands, m, n)[0]
+    if inequality in ("markov-unit", "va-markov", "trig-full-period"):
+        order = k if inequality == "va-markov" else 1
+        left_of = _derivative(basis, coeffs, order)
+        degree = n - order if ctx["kind"] == "algebraic-chebyshev" else n
+        left = _sampled_bounds(basis, left_of, bands, m, degree)[1]       # exact() runs the kernel
+        if inequality == "markov-unit":
+            scale = n * n
+        elif inequality == "va-markov":
+            scale = np.array([va_markov_exact(d, k) for d in n.tolist()])
+    elif inequality != "riesz-circle":
+        p = coeffs @ basis.design_matrix(probes).T
+        dp = coeffs @ basis.design_matrix(probes, deriv=1).T
+        if inequality == "bernstein-unit":
+            lhs = np.abs(dp) * np.sqrt(1.0 - probes**2)
+        elif inequality == "szego-unit":
+            lhs = (dp * np.sqrt(1.0 - probes**2)) ** 2 + (n * n)[:, None] * p**2
+        elif inequality == "bernstein-szego":
+            lhs = (dp / (math.pi * ctx["omega"])) ** 2 + (n * n)[:, None] * p**2
+        elif inequality == "bernstein-alg":
+            lhs = np.abs(dp) / (math.pi * ctx["omega"])
+        elif inequality == "bernstein-trig":
+            lhs = np.abs(dp) / (2.0 * math.pi * ctx["omega"])
+        else:
+            raise InvalidArgumentError(f"unknown inequality {inequality!r}")
+        left = np.max(lhs, axis=1)
+        if inequality in ("szego-unit", "bernstein-szego"):
+            scale, power = n * n, 2
 
-    basis = PolyBasis(ctx["kind"], top, ctx["reference"])
-    norm = _sup_norm(basis, coeffs, bands)
-    if inequality == "markov-unit":
-        return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * n * norm)
-    if inequality == "va-markov":
-        exact = np.array([va_markov_exact(d, k) for d in n.tolist()])
-        return _sup_norm(basis, _derivative(basis, coeffs, k), bands) / (exact * norm)
-    if inequality == "trig-full-period":
-        return _sup_norm(basis, _derivative(basis, coeffs, 1), bands) / (n * norm)
+    def ratio(rows, side, norm):
+        if power == 1:
+            return side / (scale[rows] * norm)
+        return side / (scale[rows] * norm * norm)
 
-    p = coeffs @ basis.design_matrix(probes).T
-    dp = coeffs @ basis.design_matrix(probes, deriv=1).T
-    if inequality == "bernstein-unit":
-        lhs = np.abs(dp) * np.sqrt(1.0 - probes**2)
-        return np.max(lhs, axis=1) / (n * norm)
-    if inequality == "szego-unit":
-        lhs = (dp * np.sqrt(1.0 - probes**2)) ** 2 + (n * n)[:, None] * p**2
-        return np.max(lhs, axis=1) / (n * n * norm * norm)
-    omega = ctx["omega"]
-    if inequality == "bernstein-szego":
-        lhs = (dp / (math.pi * omega)) ** 2 + (n * n)[:, None] * p**2
-        return np.max(lhs, axis=1) / (n * n * norm * norm)
-    if inequality == "bernstein-alg":
-        lhs = np.abs(dp) / (math.pi * omega)
-        return np.max(lhs, axis=1) / (n * norm)
-    if inequality == "bernstein-trig":
-        lhs = np.abs(dp) / (2.0 * math.pi * omega)
-        return np.max(lhs, axis=1) / (n * norm)
-    raise InvalidArgumentError(f"unknown inequality {inequality!r}")
+    def exact(rows):
+        if inequality == "riesz-circle":
+            norm = _circle_norm(coeffs, rows)
+        else:
+            norm = _sup_norm(basis, coeffs, bands, rows)
+        return ratio(rows, left[rows] if left_of is None else _sup_norm(basis, left_of, bands, rows), norm)
+
+    hi = np.full(n.shape, np.inf)
+    usable = low > 0.0
+    hi[usable] = ratio(usable, left[usable], low[usable])
+    return _exact_where_needed(hi, exact, hard)
+
+
+def _exact_where_needed(hi: np.ndarray, exact, hard: float) -> np.ndarray:
+    """hi, with exact(rows) in place wherever a trial can change a report.
+
+    hi bounds every exact ratio from above.  The kernel first runs on the
+    trial with the largest hi and on every trial with hi > hard; call the
+    largest of their ratios r.  A trial can only reach the largest ratio, or
+    be a violation, if its hi >= r or hi > hard, and one more kernel call
+    takes every such trial not yet run.  Every other trial keeps hi < r, so
+    the largest entry, the first trial to reach it, and the entries above
+    hard are those of the full stack.
+    """
+    out = hi.copy()
+    done = hi > hard
+    done[np.argmax(hi)] = True
+    out[done] = exact(np.flatnonzero(done))
+    rest = (hi >= np.max(out[done])) & ~done
+    if rest.any():
+        out[rest] = exact(np.flatnonzero(rest))
+    return out
 
 
 def _is_integer(value) -> bool:
@@ -765,6 +917,7 @@ def verify_inequality(
     order: int = 2,
     tol: Tolerances = DEFAULT_TOL,
     density_scale: float = 1.0,
+    density=None,
 ) -> VerifyReport:
     """Randomized check of a non-asymptotic inequality; `order` is the
     derivative order used by the exact higher-derivative inequality only,
@@ -776,7 +929,9 @@ def verify_inequality(
 
     density_scale is a negative-control hook: the density-based bounds are
     divided through the scaled density, so any value other than 1 corrupts
-    the right-hand sides on purpose and must produce violations.
+    the right-hand sides on purpose and must produce violations.  density is
+    the set's certified equilibrium density, for a caller that checks several
+    inequalities on one set; None builds it when the inequality reads one.
     """
     if not (_is_integer(trials) and trials >= 1):
         raise InvalidArgumentError("trials must be an integer >= 1")
@@ -788,7 +943,7 @@ def verify_inequality(
         )
     if not (np.isfinite(density_scale) and density_scale > 0):
         raise InvalidArgumentError("density_scale must be positive")
-    ctx = _verify_context(s, inequality, tol, float(density_scale))
+    ctx = _verify_context(s, inequality, tol, float(density_scale), density)
     rng = np.random.default_rng(rng_seed)
     lowest = order if inequality == "va-markov" else 1
     trig = inequality in ("bernstein-trig", "trig-full-period")
@@ -801,7 +956,7 @@ def verify_inequality(
     stack = np.zeros((trials, max(row.size for row in draws)))
     for row, draw in zip(stack, draws):
         row[: draw.size] = draw
-    ratios = _ratios(inequality, ctx, degrees, order, stack)
+    ratios = _ratios(inequality, ctx, degrees, order, stack, 1.0 + tol.verify_hard)
     worst = int(np.argmax(ratios))       # the first trial that reaches the maximum
     bad = np.flatnonzero(ratios > 1.0 + tol.verify_hard)
     return VerifyReport(
@@ -810,8 +965,8 @@ def verify_inequality(
         seed=rng_seed,
         max_ratio=float(ratios[worst]),
         worst_degree=int(degrees[worst]),
-        violations=tuple((int(t), int(degrees[t]), float(ratios[t])) for t in bad),
-        witnesses=tuple(tuple(float(c) for c in draws[t]) for t in bad),
+        violations=tuple([(t, int(degrees[t]), float(ratios[t])) for t in bad.tolist()]),
+        witnesses=tuple([tuple(draws[t].tolist()) for t in bad.tolist()]),
     )
 
 
@@ -857,7 +1012,7 @@ def videnskii_check(beta: float, n: int, tol: Tolerances = DEFAULT_TOL) -> Viden
     return VidenskiiReport(
         beta=beta,
         degree=n,
-        pointwise_ratios=tuple(float(r) for r in ratios),
+        pointwise_ratios=tuple([float(r) for r in ratios]),
         max_pointwise_ratio=float(max(ratios)),
         markov_ratio=float(markov_ratio),
         cert_slack=tol.cert_slack,

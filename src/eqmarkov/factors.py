@@ -112,7 +112,7 @@ class Weight:
     h: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        exps = tuple(float(a) for a in self.exponents)
+        exps = tuple([float(a) for a in self.exponents])
         if not exps or any(not np.isfinite(a) or a <= -1.0 for a in exps):
             raise InvalidArgumentError("weight exponents must all be > -1")
         if self.h is not None and not callable(self.h):

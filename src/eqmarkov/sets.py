@@ -56,7 +56,7 @@ class IntervalUnion:
     def __post_init__(self):
         pts = np.asarray(self.endpoints, dtype=float)
         _validate_even_increasing(pts, "IntervalUnion")
-        object.__setattr__(self, "endpoints", tuple(float(v) for v in pts))
+        object.__setattr__(self, "endpoints", tuple(pts.tolist()))
 
     @property
     def m(self) -> int:
@@ -65,12 +65,12 @@ class IntervalUnion:
     @property
     def bands(self) -> tuple[tuple[float, float], ...]:
         e = self.endpoints
-        return tuple((e[2 * i], e[2 * i + 1]) for i in range(self.m))
+        return tuple([(e[2 * i], e[2 * i + 1]) for i in range(self.m)])
 
     @property
     def gaps(self) -> tuple[tuple[float, float], ...]:
         e = self.endpoints
-        return tuple((e[2 * i + 1], e[2 * i + 2]) for i in range(self.m - 1))
+        return tuple([(e[2 * i + 1], e[2 * i + 2]) for i in range(self.m - 1)])
 
     @property
     def covering_interval(self) -> tuple[float, float]:
@@ -102,7 +102,7 @@ class ArcUnion:
         total = float(np.sum(ang[1::2] - ang[::2]))
         if total >= TWO_PI:
             raise InvalidArgumentError("ArcUnion: total angular measure must be < 2*pi")
-        object.__setattr__(self, "angles", tuple(float(v) for v in ang))
+        object.__setattr__(self, "angles", tuple(ang.tolist()))
 
     @property
     def m(self) -> int:
@@ -111,7 +111,7 @@ class ArcUnion:
     @property
     def arcs(self) -> tuple[tuple[float, float], ...]:
         a = self.angles
-        return tuple((a[2 * i], a[2 * i + 1]) for i in range(self.m))
+        return tuple([(a[2 * i], a[2 * i + 1]) for i in range(self.m)])
 
     @property
     def measure(self) -> float:
@@ -158,7 +158,7 @@ class Lemniscate:
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
-        coefs = tuple(complex(c) for c in self.coefficients)
+        coefs = tuple([complex(c) for c in self.coefficients])
         if len(coefs) < 2:
             raise InvalidArgumentError("Lemniscate: polynomial degree must be >= 1")
         if coefs[-1] == 0:
@@ -329,7 +329,7 @@ def set_from_json(data) -> SetLike:
             center = _complex_from_json(data.get("center", 0.0))
             return Circle(float(data["r"]), center)
         if kind == "lemniscate":
-            return Lemniscate(tuple(_complex_from_json(c) for c in data["coeffs"]))
+            return Lemniscate(tuple([_complex_from_json(c) for c in data["coeffs"]]))
         if kind == "periodic":
             return PeriodicSet(IntervalUnion(tuple(data["endpoints"])))
     except KeyError as exc:

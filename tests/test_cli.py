@@ -17,6 +17,7 @@ import pytest
 
 import eqmarkov
 from eqmarkov.cli import main
+from eqmarkov.extremal import l2_ratio_numeric
 from eqmarkov.factors import (
     bernstein_factor,
     bernstein_higher,
@@ -580,33 +581,35 @@ class TestFactorsHigherBernstein:
 ARCS = '{"type":"arcs","angles":[-2.5,-0.5,0.5,2.5]}'
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of each closed-form builder's calls while the test runs:
+    counters are patched over each module that names a builder, so a second
+    build anywhere is seen."""
+    import collections
+
+    import eqmarkov.cli
+    import eqmarkov.equilibrium
+    import eqmarkov.extremal
+    import eqmarkov.factors
+
+    counts = collections.Counter()
+    for name in ("solve_xi", "interval_density", "arc_density", "_collocation_at"):
+        original = getattr(eqmarkov.equilibrium, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (eqmarkov.cli, eqmarkov.equilibrium, eqmarkov.extremal, eqmarkov.factors):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 class TestFactorsSolvesXiOnce:
     """One factors run builds its set's closed-form data once and passes it
-    to every factor: counters are patched over each module that names a
-    builder, so a second build anywhere is seen."""
-
-    BUILDERS = ("solve_xi", "interval_density", "arc_density", "_collocation_at")
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        import collections
-
-        import eqmarkov.cli
-        import eqmarkov.equilibrium
-        import eqmarkov.factors
-
-        counts = collections.Counter()
-        for name in self.BUILDERS:
-            original = getattr(eqmarkov.equilibrium, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in (eqmarkov.cli, eqmarkov.equilibrium, eqmarkov.factors):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
-        return counts
+    to every factor."""
 
     def test_gap_points_are_shared(self, capsys, monkeypatch, builds):
         code, out, _ = run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")
@@ -629,7 +632,7 @@ class TestFactorsSolvesXiOnce:
         assert run(capsys, "factors", "--set", THREE, "--point", "0.6", "--k", "3")[1] == out
 
     @pytest.mark.parametrize("args, want", [
-        (["--set", THREE, "--k", "3"], {"solve_xi": 1}),
+        (["--set", THREE, "--k", "3"], {"solve_xi": 1, "interval_density": 1}),
         (["--set", ARCS, "--point", "1.0", "--k", "2"], {"arc_density": 1, "_collocation_at": 1}),
         (["--beta", "2.0", "--point", "0.5", "--k", "2"], {"arc_density": 1}),
     ], ids=["bands-without-point", "two-arcs", "beta"])
@@ -638,12 +641,46 @@ class TestFactorsSolvesXiOnce:
         assert code == 0 and out
         assert builds == want
 
+    def test_density_certified_without_point(self, capsys):
+        # the endpoint factors read xi, which comes from the certified
+        # density: a set whose density fails its mass certificate exits 3
+        # with or without --point
+        tiny = '{"type":"intervals","endpoints":[-1,-1e-6,1e-6,1]}'
+        for extra in ((), ("--point", "0.5")):
+            code, out, err = run(capsys, "factors", "--set", tiny, *extra)
+            assert code == 3 and out == "" and "mass" in err
+
+
+class TestVerifyAndL2BuildOnce:
+    """verify builds one density per set for all its inequalities, and an
+    omega-bernstein l2 sweep solves the gap points once for all degrees."""
+
+    @pytest.mark.parametrize("args, want", [
+        (["--set", TWO], {"solve_xi": 1, "interval_density": 1}),
+        (["--set", UNIT], {"solve_xi": 1, "interval_density": 1}),
+        (["--beta", "1.2"], {"arc_density": 1}),
+        (["--set", UNIT, "--inequality", "markov-unit"], {}),
+    ], ids=["two-bands", "unit", "beta", "no-density"])
+    def test_verify_builds_once(self, capsys, builds, args, want):
+        code, out, _ = run(capsys, "verify", *args, "--trials", "5", "--seed", "1")
+        assert code == 0 and out
+        assert builds == want
+
+    def test_omega_sweep_solves_xi_once(self, capsys, builds):
+        code, out, _ = run(capsys, "l2", "--set", TWO, "--sweep", "4:12:4", "--mode", "omega-bernstein")
+        assert code == 0
+        assert builds == {"solve_xi": 1}
+        e = IntervalUnion((-1.0, -0.3, 0.2, 1.0))
+        values = [row["value"] for row in json.loads(out)["values"]]
+        assert values == [l2_ratio_numeric(e, None, n, mode="omega-bernstein") for n in (4, 8, 12)]
+
 
 # Runs CLI subcommands in one fresh interpreter and reports which scipy
 # modules each has loaded by the time it returns.
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
 from eqmarkov.cli import main
+from eqmarkov.extremal import l2_ratio_numeric
 loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

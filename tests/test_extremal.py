@@ -840,6 +840,39 @@ class TestExchangeOracles:
         assert agreed >= 30
 
 
+class TestExchangeRoundoffPivot:
+    """A reference that is singular to round-off gives the ratio test no
+    leaving row; the exchange then swaps in the entering row for the basic
+    row of the largest pivot |d_i| instead of failing."""
+
+    LAYOUT = IntervalUnion((-0.7047468146709341, 0.6837851647355018, 0.7306323622997986, 0.7824402953464473))
+    X0 = 0.7388088991073399
+
+    def test_degree_23_certifies_between_its_neighbours(self, monkeypatch):
+        import eqmarkov.extremal as ex
+
+        real = ex._exchange
+        lps = []
+
+        def recording(rows, objective, ref, tol):
+            x, ref = real(rows, objective, ref, tol)
+            lps.append((rows, objective, float(objective @ x)))
+            return x, ref
+
+        def solve(n):
+            return pointwise_derivative_sup(self.LAYOUT, PolyBasis("algebraic-chebyshev", n, self.LAYOUT.covering_interval), self.X0)
+
+        below, above = solve(22).value, solve(24).value
+        monkeypatch.setattr(ex, "_exchange", recording)
+        res = solve(23)
+        assert below < res.value < above
+        assert res.certified_norm <= 1.0 + DEFAULT_TOL.cert_slack
+        rows, objective, value = lps[-1]
+        lp = highs_lp(rows, objective, DEFAULT_TOL)
+        assert lp.status == "optimal"
+        assert abs(lp.objective - value) <= DEFAULT_TOL.lp_feasibility * abs(lp.objective)
+
+
 class TestExchangeCycles:
     """Degenerate LPs whose round-off pivots cycle: each call ends within a
     second, certified or with a typed numeric failure, never at the pivot
@@ -1178,6 +1211,21 @@ class TestVerifyHarness:
         assert len(calls) == 1
         assert len(calls[0]) == report.trials and len(set(calls[0].tolist())) > 1
 
+    @pytest.mark.parametrize("inequality, domain", [
+        ("bernstein-szego", TWO), ("bernstein-alg", TWO), ("bernstein-trig", PeriodicSet(IntervalUnion((-2.0, 1.2)))),
+    ], ids=["szego", "alg", "trig"])
+    def test_given_density_is_the_built_one(self, inequality, domain):
+        from eqmarkov.equilibrium import arc_density, interval_density
+        from eqmarkov.sets import gamma_of
+
+        density = interval_density(domain) if isinstance(domain, IntervalUnion) else arc_density(gamma_of(domain))
+        for scale in (1.0, 0.5):
+            built = verify_inequality(domain, inequality, 30, 8, density_scale=scale)
+            given = verify_inequality(domain, inequality, 30, 8, 2, DEFAULT_TOL, scale, density)
+            assert given == built
+        with pytest.raises(InvalidArgumentError):
+            verify_inequality(SPLIT if domain == TWO else TWO, "bernstein-alg", 5, 0, density=density)
+
     def test_order_limits_accepted(self):
         top = DEFAULT_TOL.verify_max_degree
         assert verify_inequality(UNIT, "va-markov", 3, 0, order=top).worst_degree == top
@@ -1349,6 +1397,290 @@ class TestVerifyOracle:
             rep = verify_inequality(s, name, 1000, 20260800 + i)
             assert abs(rep.max_ratio - want) <= 1e-13 * want, name
             assert rep.ok, name
+
+
+# ---------------------------------------------------------------------------
+# the verifier's pruning: sampling bounds and the exact kernel where it matters
+# ---------------------------------------------------------------------------
+
+def mp_cheb_sup(c, lo, hi, reference):
+    """max |P| over [lo, hi] for a Chebyshev series of the reference interval,
+    at 30 digits: P in the power basis of u, with the ends and the real roots
+    of P' (mpmath.polyroots) inside the band as candidates."""
+    with mpmath.workdps(30):
+        mid = (mpmath.mpf(reference[0]) + reference[1]) / 2
+        half = (mpmath.mpf(reference[1]) - reference[0]) / 2
+        power = [mpmath.mpf(0)] * len(c)
+        for j, cj in enumerate(c):
+            for k, t in enumerate(cheb.cheb2poly(np.eye(len(c))[j])):     # exact integers
+                power[k] += mpmath.mpf(cj) * int(t)
+        value = lambda x: mpmath.polyval(power[::-1], (x - mid) / half)
+        candidates = [mpmath.mpf(lo), mpmath.mpf(hi)]
+        slope = [k * a for k, a in enumerate(power)][1:]
+        while len(slope) > 1 and slope[-1] == 0:
+            slope.pop()
+        if len(slope) > 1:
+            for u in mpmath.polyroots(slope[::-1], maxsteps=200, extraprec=80):
+                x = mid + half * mpmath.re(u)
+                if abs(mpmath.im(u)) < mpmath.mpf(10) ** -20 and lo < x < hi:
+                    candidates.append(x)
+        return max(abs(value(x)) for x in candidates)
+
+
+def mp_trig_sup(c):
+    """max |T| over the full period at 30 digits: the angles of the
+    unimodular roots of z^n T'(z) (mpmath.polyroots)."""
+    n = (len(c) - 1) // 2
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(v) for v in c]
+        # T'(t) = sum_j j (b_j cos jt - a_j sin jt); z^n T' = sum_j j/2 ((b_j + i a_j) z^(n+j) + conj z^(n-j))
+        coef = [mpmath.mpc(0)] * (2 * n + 1)
+        for j in range(1, n + 1):
+            up = j * mpmath.mpc(a[2 * j], a[2 * j - 1]) / 2
+            coef[n + j] += up
+            coef[n - j] += mpmath.conj(up)
+        while abs(coef[-1]) == 0:
+            coef.pop()
+        value = lambda t: a[0] + sum(a[2 * j - 1] * mpmath.cos(j * t) + a[2 * j] * mpmath.sin(j * t)
+                                     for j in range(1, n + 1))
+        roots = mpmath.polyroots(coef[::-1], maxsteps=400, extraprec=120)
+        return max(abs(value(mpmath.arg(z))) for z in roots)
+
+
+class TestSamplingInequality:
+    """`_sampled_bounds` brackets the exact sup norm from samples alone, with
+    m > d samples per band: Ehlich & Zeller's inequality on a band and Riesz's
+    lemma on the full period, checked against zoomed dense sampling and a
+    30-digit mpmath sup on random polynomials of degree 1-15."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_algebraic_band(self, seed):
+        from eqmarkov.extremal import _sampled_bounds
+
+        rng = np.random.default_rng([seed, 23])
+        for _ in range(6):
+            d = int(rng.integers(1, 16))
+            m = d + 1 + int(rng.integers(0, 3)) * d          # the constant is weakest at m = d + 1
+            lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+            reference = (float(lo) - float(rng.uniform(0.0, 1.0)), float(hi) + float(rng.uniform(0.0, 1.0)))
+            c = rng.standard_normal(d + 1)
+            basis = PolyBasis("algebraic-chebyshev", d, reference)
+            lower, upper = _sampled_bounds(basis, c[None, :], ((lo, hi),), m, np.array([d]))
+            mid, half = 0.5 * (reference[0] + reference[1]), 0.5 * (reference[1] - reference[0])
+            dense = zoomed_grid_max(lambda x: cheb.chebval((x - mid) / half, c), lo, hi)
+            exact = mp_cheb_sup(c, float(lo), float(hi), reference)
+            assert lower[0] <= dense <= upper[0]
+            assert lower[0] <= exact <= upper[0]
+            assert upper[0] * math.cos(d * math.pi / (2 * m)) <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_period(self, seed):
+        from eqmarkov.extremal import _sampled_bounds
+
+        rng = np.random.default_rng([seed, 29])
+        for _ in range(6):
+            d = int(rng.integers(1, 16))
+            m = d + 1 + int(rng.integers(0, 3)) * d          # N = 2m > 2d equispaced points
+            c = rng.standard_normal(2 * d + 1)
+            basis = PolyBasis("trigonometric", d)
+            lower, upper = _sampled_bounds(basis, c[None, :], ((-math.pi, math.pi),), m, np.array([d]))
+            dense = zoomed_grid_max(lambda t: trig_eval(c, t), -math.pi, math.pi)
+            exact = mp_trig_sup(c)
+            assert lower[0] <= dense <= upper[0]
+            assert lower[0] <= exact <= upper[0]
+
+    @pytest.mark.parametrize("d, q", [(1, 2), (3, 2), (7, 3), (15, 2)])
+    def test_riesz_constant_is_sharp(self, d, q):
+        # cos(d (t - t0)) with every extremum halfway between two of the 2m
+        # equispaced samples (m = q d) samples no higher than cos(d pi / (2m)),
+        # so the bound is exactly its sup, 1: a smaller constant fails here,
+        # a larger one fails the sup checks above.
+        from eqmarkov.extremal import _sampled_bounds
+
+        m = q * d
+        t0 = -math.pi + 0.5 * math.pi / m
+        c = np.zeros(2 * d + 1)
+        c[2 * d - 1], c[2 * d] = math.cos(d * t0), math.sin(d * t0)      # cos(d t - d t0)
+        lower, upper = _sampled_bounds(PolyBasis("trigonometric", d), c[None, :],
+                                       ((-math.pi, math.pi),), m, np.array([d]))
+        assert abs(upper[0] - 1.0) <= 1e-12
+        assert abs(lower[0] - math.cos(d * math.pi / (2 * m))) <= 1e-12
+
+    def test_no_upper_bound_on_a_sub_arc(self):
+        from eqmarkov.extremal import _sampled_bounds
+
+        c = np.random.default_rng(3).standard_normal((4, 9))
+        lower, upper = _sampled_bounds(PolyBasis("trigonometric", 4), c, ((-1.2, 1.2),), 20, np.full(4, 4))
+        assert np.all(np.isinf(upper))
+        assert np.all(lower <= [brute_sup_trig(row, ((-1.2, 1.2),), 20_001) for row in c])
+
+
+def full_kernel_ratios(inequality, ctx, n, k, coeffs):
+    """Every trial's ratio from the exact kernel on the whole stack: the
+    verifier's formulas with no pruning."""
+    import eqmarkov.extremal as ex
+
+    bands, probes = ctx["bands"], ctx["probes"]
+    top = int(np.max(n))
+    if inequality == "riesz-circle":
+        dcoeffs = coeffs[:, 1:] * np.arange(1, top + 1)
+        phase = np.outer(np.arange(top), probes)
+        lhs = np.max(np.hypot(dcoeffs @ np.cos(phase), dcoeffs @ np.sin(phase)), axis=1)
+        return lhs / (n * ex._circle_norm(coeffs))
+    basis = PolyBasis(ctx["kind"], top, ctx["reference"])
+    norm = ex._sup_norm(basis, coeffs, bands)
+    if inequality == "markov-unit":
+        return ex._sup_norm(basis, ex._derivative(basis, coeffs, 1), bands) / (n * n * norm)
+    if inequality == "va-markov":
+        exact = np.array([va_markov_exact(d, k) for d in n.tolist()])
+        return ex._sup_norm(basis, ex._derivative(basis, coeffs, k), bands) / (exact * norm)
+    if inequality == "trig-full-period":
+        return ex._sup_norm(basis, ex._derivative(basis, coeffs, 1), bands) / (n * norm)
+    p = coeffs @ basis.design_matrix(probes).T
+    dp = coeffs @ basis.design_matrix(probes, deriv=1).T
+    omega = ctx.get("omega")
+    lhs = {
+        "bernstein-unit": lambda: np.abs(dp) * np.sqrt(1.0 - probes**2),
+        "szego-unit": lambda: (dp * np.sqrt(1.0 - probes**2)) ** 2 + (n * n)[:, None] * p**2,
+        "bernstein-szego": lambda: (dp / (math.pi * omega)) ** 2 + (n * n)[:, None] * p**2,
+        "bernstein-alg": lambda: np.abs(dp) / (math.pi * omega),
+        "bernstein-trig": lambda: np.abs(dp) / (2.0 * math.pi * omega),
+    }[inequality]()
+    if inequality in ("szego-unit", "bernstein-szego"):
+        return np.max(lhs, axis=1) / (n * n * norm * norm)
+    return np.max(lhs, axis=1) / (n * norm)
+
+
+def pruning_faults(monkeypatch, seeds, trials=40, first=False):
+    """What the pruned verifier gets wrong against the full kernel, over
+    VERIFY_SUITE and both negative controls: a report that differs (max_ratio,
+    worst_degree, violations or witnesses), an upper bound hi below a trial's
+    exact ratio, or a trial the filter should have run exactly but did not.
+    A trial must run exactly when hi >= r or hi > 1 + verify_hard, with r the
+    largest exact ratio over the trial of largest hi and every trial with
+    hi > 1 + verify_hard."""
+    import eqmarkov.extremal as ex
+
+    hard = 1.0 + DEFAULT_TOL.verify_hard
+    seen = {}
+    inner_filter, inner_ratios = ex._exact_where_needed, ex._ratios
+
+    def filter_seen(hi, exact, limit):
+        out = inner_filter(hi, exact, limit)
+        seen["hi"], seen["out"] = hi.copy(), out.copy()
+        return out
+
+    def ratios_seen(inequality, ctx, n, k, coeffs, limit):
+        seen["full"] = full_kernel_ratios(inequality, ctx, n, k, coeffs)
+        seen["degrees"], seen["coeffs"] = n.copy(), coeffs.copy()
+        return inner_ratios(inequality, ctx, n, k, coeffs, limit)
+
+    monkeypatch.setattr(ex, "_exact_where_needed", filter_seen)
+    monkeypatch.setattr(ex, "_ratios", ratios_seen)
+    faults = []
+    cases = [(name, s, 1.0) for name, s in VERIFY_SUITE] + [("bernstein-szego", TWO, 0.5), ("bernstein-alg", TWO, 0.5)]
+    for name, s, scale in cases:
+        for seed in seeds:
+            rep = verify_inequality(s, name, trials, seed, density_scale=scale)
+            full, hi, out, n = seen["full"], seen["hi"], seen["out"], seen["degrees"]
+            worst = int(np.argmax(full))
+            bad = np.flatnonzero(full > hard)
+            width = 2 * n + 1 if name in ("bernstein-trig", "trig-full-period") else n + 1
+            want = (float(full[worst]), int(n[worst]),
+                    [(int(t), int(n[t]), float(full[t])) for t in bad],
+                    [tuple(float(v) for v in seen["coeffs"][t][: width[t]]) for t in bad])
+            got = (rep.max_ratio, rep.worst_degree, list(rep.violations), list(rep.witnesses))
+            if got != want:
+                faults.append(f"{name} x{scale} seed {seed}: report differs from the full kernel's")
+            if np.any(hi < full):
+                faults.append(f"{name} x{scale} seed {seed}: hi below an exact ratio")
+            ran = (hi > hard) | (np.arange(hi.size) == np.argmax(hi))
+            due = (hi >= np.max(full[ran])) | (hi > hard)
+            if not np.array_equal(out[due], full[due]) or np.any(out[~due] != hi[~due]):
+                faults.append(f"{name} x{scale} seed {seed}: a trial due for the kernel was not run")
+            if faults and first:
+                return faults
+    return faults
+
+
+class TestPrunedVerifier:
+    """The verifier runs the exact kernel only on trials that can change a
+    report; against the full kernel its reports are identical, bit for bit."""
+
+    def test_reports_equal_the_full_kernel(self, monkeypatch):
+        assert pruning_faults(monkeypatch, range(20)) == []
+
+    def test_short_stacks(self, monkeypatch):
+        # one trial is a one-row stack, two trials the smallest matrix product
+        for trials in (1, 2, 3):
+            assert pruning_faults(monkeypatch, range(8), trials=trials) == []
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("mutant", ["drop-one-eligible", "skip-violations", "skip-near-max", "no-roundoff"])
+    def test_mutants_are_caught(self, monkeypatch, mutant):
+        import eqmarkov.extremal as ex
+
+        real = ex._exact_where_needed
+        if mutant == "drop-one-eligible":
+            def filtered(hi, exact, hard):
+                # the last trial of the last kernel call keeps its bound
+                def dropping(rows):
+                    got = exact(rows)
+                    got[-1] = hi[rows[-1]]
+                    return got
+                return real(hi, dropping, hard)
+        elif mutant == "skip-violations":
+            def filtered(hi, exact, hard):
+                return real(hi, exact, math.inf)
+        elif mutant == "skip-near-max":
+            def filtered(hi, exact, hard):
+                out = hi.copy()
+                done = hi > hard
+                done[np.argmax(hi)] = True
+                out[done] = exact(np.flatnonzero(done))
+                return out
+        else:
+            filtered = real
+            monkeypatch.setattr(ex, "_roundoff", lambda basis, coeffs: np.zeros(coeffs.shape[0]))
+        monkeypatch.setattr(ex, "_exact_where_needed", filtered)
+        assert pruning_faults(monkeypatch, range(20), first=True)
+
+    def test_kernel_runs_on_few_trials(self, monkeypatch):
+        # outside the negative controls, where every violation needs its
+        # exact ratio, a 40-trial report sends few trials to the kernel
+        import eqmarkov.extremal as ex
+
+        rows = []
+        real = ex._exact_where_needed
+
+        def counting(hi, exact, hard):
+            def counted(sel):
+                rows[-1] += sel.size
+                return exact(sel)
+            rows.append(0)
+            return real(hi, counted, hard)
+
+        monkeypatch.setattr(ex, "_exact_where_needed", counting)
+        for name, s in VERIFY_SUITE:
+            rows.clear()
+            for seed in range(10):
+                verify_inequality(s, name, 40, seed)
+            assert np.mean(rows) <= 10, (name, rows)
+
+    def test_control_allocations_do_not_accumulate(self):
+        # Tuples built from generators are resized after allocation, so they
+        # are never taken from CPython's tuple free list but are freed into
+        # it; reports built that way grew the allocated pymalloc blocks by
+        # about 20-40 per control call, every call.
+        import sys
+
+        for name in ("bernstein-szego", "bernstein-alg"):
+            for seed in range(20):
+                verify_inequality(TWO, name, 40, seed, density_scale=0.5)
+            start = sys.getallocatedblocks()
+            for seed in range(200):
+                verify_inequality(TWO, name, 40, 1000 + seed, density_scale=0.5)
+            assert (sys.getallocatedblocks() - start) / 200 < 10, name
 
 
 class TestVidenskii:
