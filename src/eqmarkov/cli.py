@@ -38,6 +38,7 @@ from .extremal import (
     L2_MODES,
     VERIFY_INEQUALITIES,
     PolyBasis,
+    _l2_checked_weight,
     l2_ratio_numeric,
     markov_constant_numeric,
     pointwise_derivative_sup,
@@ -166,9 +167,26 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON types a config value may take, by its flag's argparse type or action
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+                 "store_true": ((bool,), "a boolean")}
+
+
+def _config_value(key: str, flag: str, value):
+    """A config file's value for `flag`, if its JSON type is the flag's."""
+    spec = _FLAGS[flag][1]
+    types, what = _CONFIG_TYPES[spec.get("action") or spec.get("type", str)]
+    if flag == "--weight":
+        types, what = (str, dict), "a string or an object"
+    # JSON true and false load as bools, which Python counts as ints
+    if not isinstance(value, types) or isinstance(value, bool) != (types == (bool,)):
+        raise InvalidArgumentError(f"config key {key!r} must be {what}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     # a config key is its flag without the dashes, inner dashes as underscores
-    keys = {flag[2:].replace("-", "_"): _FLAGS[flag][0] for flag in _COMMANDS[args.command][2].split()}
+    keys = {flag[2:].replace("-", "_"): flag for flag in _COMMANDS[args.command][2].split()}
     merged: dict = {}
     if args.config is not None:
         try:
@@ -183,7 +201,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         for key, value in file_conf.items():
             if key not in keys:
                 raise InvalidArgumentError(f"{args.command} reads no config key {key!r}")
-            merged[keys[key]] = value
+            merged[_FLAGS[keys[key]][0]] = _config_value(key, keys[key], value)
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     merged.update((k, v) for k, v in flags.items() if v is not None)
     return RunConfig(command=args.command, **merged)
@@ -588,12 +606,14 @@ def cmd_l2(config: RunConfig) -> tuple[str, int]:
     s = _load_set(config)
     if not isinstance(s, IntervalUnion):
         raise InvalidArgumentError("l2 ratios are defined for interval unions")
-    weight, explicit = _resolve_weight(config, s)
+    weight, _ = _resolve_weight(config, s)
     degrees = _parse_sweep(config)
+    # every argument fault exits 2 before the one solve of the gap points
+    _l2_checked_weight(s, weight, degrees, config.mode)
     xi = solve_xi(s) if config.mode == "omega-bernstein" else None
     rows = []
     for n in degrees:
-        value = l2_ratio_numeric(s, weight if explicit else None, n, mode=config.mode, xi=xi)
+        value = l2_ratio_numeric(s, weight, n, mode=config.mode, xi=xi)
         rows.append({"n": n, "value": value, "value_over_n2": value / (n * n)})
     if config.fmt == "csv":
         table = [[r["n"], float(r["value"]), float(r["value_over_n2"])] for r in rows]

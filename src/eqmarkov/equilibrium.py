@@ -162,16 +162,11 @@ def _cheb_coeffs_of(g: Callable[[np.ndarray], np.ndarray], tol: Tolerances) -> n
 class EndpointData:
     """Endpoint limit Omega_j = lim sqrt(dist) * density along the set."""
 
-    index: int              # 1-based endpoint index
     omega_limit: float
-    band: int               # 0-based band/arc the limit is taken from
-    side: str               # 'left' | 'right'
 
     def __post_init__(self):
         if not (np.isfinite(self.omega_limit) and self.omega_limit > 0):
             raise NumericFailureError("endpoint limit must be finite and positive")
-        if self.side not in ("left", "right"):
-            raise InvalidArgumentError("side must be 'left' or 'right'")
 
 
 @dataclass(frozen=True)
@@ -357,9 +352,10 @@ def omega_limit(
     """Closed-form limit of sqrt|t - a_j| * density at endpoint j (1-based)."""
     if xi is None:
         xi = solve_xi(e, tol)
-    band, side = e.endpoint_band(j)
+    if not 1 <= j <= 2 * e.m:
+        raise InvalidArgumentError(f"endpoint index {j} out of range")
     others = e.endpoints[: j - 1] + e.endpoints[j:]
-    return EndpointData(j, _gap_quotient(e.endpoints[j - 1], xi, others), band, side)
+    return EndpointData(_gap_quotient(e.endpoints[j - 1], xi, others))
 
 
 def _neville_richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
@@ -410,7 +406,7 @@ def omega_limit_extrapolated(
         raise NumericFailureError(
             f"endpoint extrapolation not converging (error estimate {err:.2e})"
         )
-    return EndpointData(j, value, band, side)
+    return EndpointData(value)
 
 
 def omega_limit_arc(

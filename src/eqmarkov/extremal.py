@@ -675,6 +675,22 @@ def _gram_factors(
     return basis.design_matrix(nodes, deriv=1) * scale[:, None], b_fac
 
 
+def _l2_checked_weight(e: IntervalUnion, w: Weight | None, degrees, mode: str) -> Weight:
+    """The weight of an L2 pencil on e, after every check of its arguments."""
+    if mode not in L2_MODES:
+        raise InvalidArgumentError(f"unknown mode {mode!r}")
+    if not all(isinstance(n, int) and 1 <= n <= 100 for n in degrees):
+        raise InvalidArgumentError("degree must be an integer in 1..100")
+    if w is None:
+        w = Weight.unweighted(e)
+    w.validate_on(e)
+    if mode == "gradient-bernstein" and (
+        e.m != 1 or abs(e.endpoints[0] + 1.0) > 1e-12 or abs(e.endpoints[1] - 1.0) > 1e-12
+    ):
+        raise InvalidArgumentError("gradient-bernstein mode is defined on [-1, 1] only")
+    return w
+
+
 def l2_ratio_numeric(
     e: IntervalUnion,
     w: Weight | None,
@@ -692,17 +708,7 @@ def l2_ratio_numeric(
     there xi may pass the gap points of e, so that a sweep over degrees
     solves them once.
     """
-    if mode not in L2_MODES:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
-    if not (isinstance(n, int) and 1 <= n <= 100):
-        raise InvalidArgumentError("degree must be an integer in 1..100")
-    if w is None:
-        w = Weight.unweighted(e)
-    w.validate_on(e)
-    if mode == "gradient-bernstein" and (
-        e.m != 1 or abs(e.endpoints[0] + 1.0) > 1e-12 or abs(e.endpoints[1] - 1.0) > 1e-12
-    ):
-        raise InvalidArgumentError("gradient-bernstein mode is defined on [-1, 1] only")
+    w = _l2_checked_weight(e, w, (n,), mode)
     basis = PolyBasis("algebraic-chebyshev", n, reference or e.covering_interval)
     a_fac, b_fac = _gram_factors(e, w, basis, mode, tol, xi)
     cond_b = float(np.linalg.cond(b_fac)) ** 2

@@ -9,10 +9,10 @@ handful of primitives in this module.  Conventions:
   * `simplex_solve` maximizes c.x subject to A x <= b with free variables and
     returns a basic (vertex) optimum.
 
-The program runs on numpy alone; `bessel_j` and `bessel_smallest_zero` take
-J_nu from Miller's recurrence and the first zero from an eigenvalue.  scipy
-serves only the oracles that tests and the benchmark still look up here by
-name, imported where they are used, never at module level: `simplex_solve`
+The program runs on numpy alone; `bessel_smallest_zero` takes J_nu from
+Miller's recurrence and the first zero from an eigenvalue.  scipy serves only
+the oracles that tests and the benchmark still look up here by name,
+imported where they are used, never at module level: `simplex_solve`
 (HiGHS through `linprog`, the oracle for the LP exchange in `extremal`) and
 `gauss_legendre` (`roots_legendre`).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
 
-QUAD_KINDS = ("gauss-legendre", "gauss-chebyshev", "golub-welsch-custom")
 LP_STATUSES = ("optimal", "infeasible", "unbounded", "iteration-limit")
 
 
@@ -37,15 +36,12 @@ LP_STATUSES = ("optimal", "infeasible", "unbounded", "iteration-limit")
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.kind not in QUAD_KINDS:
-            raise InvalidArgumentError(f"unknown quadrature kind {self.kind!r}")
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise InvalidArgumentError("nodes and weights must be 1-d arrays of equal length")
         if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
@@ -56,9 +52,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return int(self.nodes.size)
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -93,11 +86,11 @@ def gauss_legendre(n: int, *, tol: Tolerances = DEFAULT_TOL) -> QuadratureRule:
     return rule
 
 
-def _read_only_rule(nodes: np.ndarray, weights: np.ndarray, kind: str) -> QuadratureRule:
+def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
     # Cached rules are shared by every caller, hence read-only.
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes, weights, kind)
+    return QuadratureRule(nodes, weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,7 +98,7 @@ def _gauss_legendre_rule(n: int) -> QuadratureRule:
     from scipy.special import roots_legendre
 
     nodes, weights = roots_legendre(n)
-    return _read_only_rule(nodes, weights, "gauss-legendre")
+    return _read_only_rule(nodes, weights)
 
 
 def gauss_chebyshev(n: int) -> QuadratureRule:
@@ -120,7 +113,7 @@ def _gauss_chebyshev_rule(n: int) -> QuadratureRule:
     # cos((2j-1) pi/(2n)) written as a sine of an odd argument, so the nodes
     # are exactly antisymmetric in floating point
     nodes = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / n)
-    return _read_only_rule(nodes, np.full(n, np.pi / n), "gauss-chebyshev")
+    return _read_only_rule(nodes, np.full(n, np.pi / n))
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int) -> Recurrence:
@@ -166,44 +159,16 @@ def golub_welsch(recurrence: Recurrence, n: int) -> QuadratureRule:
     if b[0] <= 0 or (n > 1 and np.any(b[1:] <= 0)):
         raise InvalidArgumentError("recurrence does not define a positive measure")
     if n == 1:
-        return QuadratureRule(a[:1].copy(), b[:1].copy(), "golub-welsch-custom")
+        return QuadratureRule(a[:1].copy(), b[:1].copy())
     off = np.sqrt(b[1:])
     jacobi = np.diag(a) + np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(jacobi)
-    return QuadratureRule(vals, b[0] * vecs[0, :] ** 2, "golub-welsch-custom")
+    return QuadratureRule(vals, b[0] * vecs[0, :] ** 2)
 
 
-_LN2 = math.log(2.0)
 # Backward recurrence values are rescaled past this; two unchecked steps
 # grow them at most (2 * 300 / 1e-30)^2 times, which stays finite.
 _MILLER_RESCALE = 1e200
-
-
-def bessel_j(order: float, x: float) -> float:
-    """J_order(x) for order > -1 and 0 < x <= 100, |error| <= 1e-12.
-
-    Miller's backward recurrence (Olver & Sookne, Math. Comp. 26, 1972),
-    normalised by Neumann's series; see `_bessel_miller`.  Below x = 1e-30
-    the leading term of the ascending series is exact in floating point.
-    Orders above 200 return 0: there |J_order(x)| <= (x/2)^order /
-    Gamma(order + 1) < 1e-35.
-    """
-    if not order > -1.0:
-        raise InvalidArgumentError("Bessel order must exceed -1")
-    if not 0.0 < x <= 100.0:
-        raise InvalidArgumentError("bessel_j argument must be in (0, 100]")
-    if order > 200.0:
-        return 0.0
-    if x < 1e-30:
-        # the next series term is x^2 / (4 (order + 1)) < 1e-44 times this one
-        # (logarithms, so that 0.5 x, x^order and Gamma(order + 1) cannot
-        # leave the float range before they combine)
-        try:
-            return math.exp(order * (math.log(x) - _LN2) - math.log(math.gamma(order + 1.0)))
-        except OverflowError:       # order < 0 at a subnormal x
-            return math.inf
-    n = math.floor(order)
-    return _bessel_miller(order - n, n, x)
 
 
 def _bessel_miller(mu: float, n: int, x: float) -> float:

@@ -15,13 +15,11 @@ Conventions used throughout the package:
   * The full circle is never an ArcUnion (its density has no endpoints); use
     Circle instead.
   * Distances between a point of an arc set and an arc endpoint are chordal,
-    |z - A_j|; on the unit circle that is 2 sin(angular distance / 2), so
-    angular and chordal Voronoi regions coincide.
+    |z - A_j|; on the unit circle that is 2 sin(angular distance / 2).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -76,18 +74,8 @@ class IntervalUnion:
     def covering_interval(self) -> tuple[float, float]:
         return self.endpoints[0], self.endpoints[-1]
 
-    @property
-    def measure(self) -> float:
-        return float(sum(b - a for a, b in self.bands))
-
     def locate(self, x: float) -> Location:
         return locate(self, x)
-
-    def endpoint_band(self, j: int) -> tuple[int, str]:
-        """(0-based band index, 'left'|'right') for 1-based endpoint j."""
-        if not 1 <= j <= 2 * self.m:
-            raise InvalidArgumentError(f"endpoint index {j} out of range")
-        return (j - 1) // 2, "left" if j % 2 == 1 else "right"
 
 
 @dataclass(frozen=True)
@@ -112,15 +100,6 @@ class ArcUnion:
     def arcs(self) -> tuple[tuple[float, float], ...]:
         a = self.angles
         return tuple([(a[2 * i], a[2 * i + 1]) for i in range(self.m)])
-
-    @property
-    def measure(self) -> float:
-        return float(sum(b - a for a, b in self.arcs))
-
-    def endpoint_complex(self, j: int) -> complex:
-        if not 1 <= j <= 2 * self.m:
-            raise InvalidArgumentError(f"endpoint index {j} out of range")
-        return cmath.exp(1j * self.angles[j - 1])
 
     def locate_angle(self, theta: float) -> Location:
         """Classify an angle (wrapped to [-pi, pi)) against the arcs."""
@@ -248,54 +227,6 @@ def locate(e: IntervalUnion, x: float) -> Location:
         if a < x < b:
             return Location("interior", None)
     return Location("gap", None)
-
-
-def _interval_regions(e: IntervalUnion, j: int) -> list[tuple[float, float]]:
-    pts = e.endpoints
-    if not 1 <= j <= len(pts):
-        raise InvalidArgumentError(f"endpoint index {j} out of range")
-    a_j = pts[j - 1]
-    lo = -math.inf if j == 1 else 0.5 * (pts[j - 2] + a_j)
-    hi = math.inf if j == len(pts) else 0.5 * (a_j + pts[j])
-    out = []
-    for a, b in e.bands:
-        s, t = max(a, lo), min(b, hi)
-        if s < t:
-            out.append((s, t))
-    return out
-
-
-def _arc_regions(e: ArcUnion, j: int) -> list[tuple[float, float]]:
-    ang = e.angles
-    if not 1 <= j <= len(ang):
-        raise InvalidArgumentError(f"endpoint index {j} out of range")
-    a_j = ang[j - 1]
-    prev = ang[j - 2] if j >= 2 else ang[-1] - TWO_PI
-    nxt = ang[j] if j < len(ang) else ang[0] + TWO_PI
-    lo = 0.5 * (prev + a_j)
-    hi = 0.5 * (a_j + nxt)
-    out = []
-    for a, b in e.arcs:
-        for shift in (-TWO_PI, 0.0, TWO_PI):
-            s, t = max(a, lo + shift), min(b, hi + shift)
-            if s < t:
-                out.append((s, t))
-    return sorted(out)
-
-
-def nearest_endpoint_region(e: IntervalUnion | ArcUnion, j: int) -> list[tuple[float, float]]:
-    """Subintervals (or angle subarcs) of E strictly closer to endpoint j.
-
-    On the line the strictly-closer condition reduces to the two midpoint
-    cuts against the neighboring endpoints; on the circle it is the circular
-    Voronoi cell of the endpoint angle (chordal distance is monotone in
-    angular distance, so the cells agree).
-    """
-    if isinstance(e, IntervalUnion):
-        return _interval_regions(e, j)
-    if isinstance(e, ArcUnion):
-        return _arc_regions(e, j)
-    raise InvalidArgumentError("nearest_endpoint_region needs an IntervalUnion or ArcUnion")
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,19 @@ class TestL2:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "101"], "degree must be an integer in 1..100"),
+        (["--sweep", "4:101:97"], "degree must be an integer in 1..100"),
+        (["--n", "4", "--weight", '{"exponents":[1]}'], "weight needs one exponent per endpoint"),
+    ], ids=["degree", "last-degree-of-sweep", "weight"])
+    def test_argument_fault_exits_two_before_the_gap_points(self, capsys, args, message):
+        # the gap points of this set miss their residual bound (exit 3), so
+        # the argument fault must be found before they are solved for
+        far = '{"type":"intervals","endpoints":[100000,100001,100002,100003]}'
+        code, out, err = run(capsys, "l2", "--set", far, "--mode", "omega-bernstein", *args)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestPlumbing:
     def test_config_file_merge_flags_win(self, capsys, tmp_path):
@@ -378,9 +391,19 @@ BASE = {
     "verify": ["--set", UNIT, "--trials", "3"],
     "l2": ["--set", UNIT, "--n", "4"],
 }
+# JSON values of a type each flag's config key must refuse
+WRONG_TYPE = {
+    **dict.fromkeys(["--n", "--k", "--grid", "--seed", "--trials"], ["3", 3.5, True, None]),
+    **dict.fromkeys(["--beta", "--alpha", "--beta-exp"], ["0.5", False, [0.5]]),
+    **dict.fromkeys(["--set", "--point", "--mode", "--inequality", "--sweep", "--format", "--out"],
+                    [0.5, 1, True, {"a": 1}]),
+    "--weight": [[1, 1], 1, True],
+    "--corrupt-density": [1, "true", None],
+}
 ALL_FLAGS = sorted(set(VALUE) | set(COMMON))
 ACCEPTED = [(c, f) for c in READS for f in READS[c] + COMMON]
 UNREAD = [(c, f) for c in READS for f in ALL_FLAGS if f not in READS[c] + COMMON]
+CONFIGURABLE = [(c, f) for c, f in ACCEPTED if f != "--config"]
 
 
 def outcome(capsys, argv, out_path=None):
@@ -465,6 +488,16 @@ class TestFlagTable:
         from_file = outcome(capsys, [command, "--set", UNIT, "--config", str(conf)])
         assert from_file == outcome(capsys, [command, *flags])
         assert from_file[0] in (0, 5)
+
+    @pytest.mark.parametrize("command, flag", CONFIGURABLE, ids=[f"{c}{f}" for c, f in CONFIGURABLE])
+    def test_config_value_of_the_wrong_type_exits_two(self, capsys, tmp_path, command, flag):
+        key = flag[2:].replace("-", "_")
+        conf = tmp_path / "conf.json"
+        for value in WRONG_TYPE[flag]:
+            conf.write_text(json.dumps({key: value}))
+            code, out, err = run(capsys, command, *BASE[command], "--config", str(conf))
+            assert code == 2 and out == ""
+            assert repr(key) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["extremal", "l2"])
     def test_n_with_sweep_exits_two(self, capsys, command):

@@ -244,10 +244,6 @@ class TestEndpointLimits:
         right = omega_limit(SPLIT, 4, xi).omega_limit
         assert abs(left - right) <= 1e-12
 
-    def test_sides_and_bands(self):
-        data = omega_limit(SPLIT, 3)
-        assert data.band == 1 and data.side == "left" and data.index == 3
-
     def test_extrapolation_matches_closed_form(self):
         d = interval_density(TWOBAND)
         for j in (1, 2, 3, 4):
@@ -257,11 +253,9 @@ class TestEndpointLimits:
 
     def test_endpoint_data_validation(self):
         with pytest.raises(NumericFailureError):
-            EndpointData(1, -0.5, 0, "left")
+            EndpointData(-0.5)
         with pytest.raises(NumericFailureError):
-            EndpointData(1, math.nan, 0, "left")
-        with pytest.raises(InvalidArgumentError):
-            EndpointData(1, 1.0, 0, "top")
+            EndpointData(math.nan)
 
 
 class TestArcDensity:

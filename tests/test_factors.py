@@ -242,6 +242,18 @@ class TestMarkovEndpoint:
             v = markov_higher(SPLIT, 1, k, xi=list(xi)).value
             assert abs(v * dfact / base**k - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("e", [UNIT, SPLIT], ids=["unit", "two-band"])
+    def test_endpoint_index_out_of_range(self, e):
+        xi = solve_xi(e)
+        for j in (0, 2 * e.m + 1):
+            for call in (
+                lambda: omega_limit(e, j, xi),
+                lambda: markov_local(e, j, xi),
+                lambda: markov_higher(e, j, 2, xi),
+            ):
+                with pytest.raises(InvalidArgumentError, match="out of range"):
+                    call()
+
 
 class TestEndpointFactorFormula:
     """Every endpoint factor is (s pi^2 Omega^2)^k / (2k-1)!!, s = 2 on real

@@ -15,7 +15,6 @@ from eqmarkov.sets import (
     affine_image,
     gamma_of,
     locate,
-    nearest_endpoint_region,
     set_from_json,
     set_to_json,
     wrap_angle,
@@ -40,9 +39,6 @@ class TestConstruction:
         assert e.bands == ((-1.0, -0.3), (0.2, 1.0))
         assert e.gaps == ((-0.3, 0.2),)
         assert e.covering_interval == (-1.0, 1.0)
-        assert e.measure == pytest.approx(1.5)
-        assert e.endpoint_band(3) == (1, "left")
-        assert e.endpoint_band(2) == (0, "right")
 
     def test_full_circle_not_an_arc_union(self):
         with pytest.raises(InvalidArgumentError):
@@ -53,7 +49,6 @@ class TestConstruction:
             ArcUnion((0.0, 3.5))
         a = ArcUnion((-1.0, -0.5, 0.5, 1.0))
         assert a.m == 2
-        assert a.measure == pytest.approx(1.0)
 
     def test_circle_and_lemniscate_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -85,12 +80,6 @@ class TestGamma:
         g = gamma_of(PeriodicSet(IntervalUnion((-1.0, -0.5, 0.5, 1.0))))
         assert g.m == 2
         assert g.angles == (-1.0, -0.5, 0.5, 1.0)
-
-    def test_endpoint_exponentials(self):
-        g = gamma_of(PeriodicSet(IntervalUnion((-1.0, -0.5, 0.5, 1.0))))
-        for j, ang in enumerate(g.angles, start=1):
-            z = g.endpoint_complex(j)
-            assert abs(z - complex(math.cos(ang), math.sin(ang))) < 1e-15
 
 
 class TestAffine:
@@ -128,73 +117,6 @@ class TestLocate:
         e = IntervalUnion((-1.0, -0.5, 0.5, 1.0))
         assert locate(e, 0.0).kind == "gap"
         assert locate(e, 2.0).kind == "outside"
-
-
-class TestNearestEndpointRegion:
-    def test_single_interval_halves(self):
-        e = IntervalUnion((-1.0, 1.0))
-        assert nearest_endpoint_region(e, 1) == [(-1.0, 0.0)]
-        assert nearest_endpoint_region(e, 2) == [(0.0, 1.0)]
-
-    def test_midpoint_cut_across_gap(self):
-        e = IntervalUnion((0.0, 1.0, 2.0, 4.0))
-        assert nearest_endpoint_region(e, 3) == [(2.0, 3.0)]
-        assert nearest_endpoint_region(e, 2) == [(0.5, 1.0)]
-        assert nearest_endpoint_region(e, 4) == [(3.0, 4.0)]
-
-    def test_partition_property_line(self):
-        e = IntervalUnion((-1.0, -0.3, 0.2, 1.0))
-        total = sum(hi - lo for j in range(1, 5) for lo, hi in nearest_endpoint_region(e, j))
-        assert total == pytest.approx(e.measure, abs=1e-12)
-        # regions are disjoint: sample points land in exactly one region
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            band = e.bands[rng.integers(0, 2)]
-            x = rng.uniform(*band)
-            hits = [
-                j
-                for j in range(1, 5)
-                for lo, hi in nearest_endpoint_region(e, j)
-                if lo < x < hi
-            ]
-            assert len(hits) == 1
-            d = [abs(x - a) for a in e.endpoints]
-            assert hits[0] == int(np.argmin(d)) + 1
-
-    def test_symmetric_arc(self):
-        beta = 1.1
-        a = ArcUnion((-beta, beta))
-        assert nearest_endpoint_region(a, 2) == [(0.0, beta)]
-        assert nearest_endpoint_region(a, 1) == [(-beta, 0.0)]
-
-    def test_arc_regions_stay_in_own_arc(self):
-        # a point of an arc is always chordally closer to that arc's own
-        # endpoints than to any other arc's, so regions never jump arcs
-        a = ArcUnion((-3.0, -2.0, 2.0, 3.0))
-        regions = [nearest_endpoint_region(a, j) for j in range(1, 5)]
-        total = sum(hi - lo for r in regions for lo, hi in r)
-        assert total == pytest.approx(a.measure, abs=1e-12)
-        for j in range(1, 5):
-            own_arc = a.arcs[(j - 1) // 2]
-            for lo, hi in regions[j - 1]:
-                assert own_arc[0] - 1e-12 <= lo < hi <= own_arc[1] + 1e-12
-
-    def test_partition_property_circle(self):
-        a = ArcUnion((-3.0, -2.0, 2.0, 3.0))
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            lo, hi = a.arcs[rng.integers(0, 2)]
-            t = rng.uniform(lo, hi)
-            z = complex(math.cos(t), math.sin(t))
-            hits = [
-                j
-                for j in range(1, 5)
-                for rlo, rhi in nearest_endpoint_region(a, j)
-                if rlo < t < rhi
-            ]
-            assert len(hits) == 1
-            chordal = [abs(z - a.endpoint_complex(j)) for j in range(1, 5)]
-            assert hits[0] == int(np.argmin(chordal)) + 1
 
 
 class TestJson:
