@@ -254,9 +254,15 @@ def _resolve_weight(config: RunConfig, e: IntervalUnion) -> tuple[Weight | None,
                 data = json.loads(data)
             except json.JSONDecodeError as exc:
                 raise InvalidArgumentError(f"malformed weight JSON: {exc}") from exc
-        if not isinstance(data, dict) or "exponents" not in data:
-            raise InvalidArgumentError("weight JSON must be {\"exponents\": [...]}")
-        return Weight(tuple([float(v) for v in data["exponents"]])), True
+        exponents = data.get("exponents") if isinstance(data, dict) and set(data) == {"exponents"} else None
+        # JSON true and false load as bools, which Python counts as ints
+        if not (isinstance(exponents, list)
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in exponents)):
+            raise InvalidArgumentError("weight JSON must be {\"exponents\": [numbers]}")
+        try:
+            return Weight(tuple([float(v) for v in exponents])), True
+        except OverflowError:
+            raise InvalidArgumentError("weight exponents must all be > -1") from None
     if jacobi_given:
         if e.endpoints != (-1.0, 1.0):
             raise InvalidArgumentError("--alpha/--beta-exp describe a Jacobi weight on [-1, 1]")

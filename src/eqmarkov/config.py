@@ -9,8 +9,10 @@ code and are not knobs: the 1e12 moment-matrix ceiling in `solve_xi`, the
 the verifier's 64 probes per band and their buffer of 1e-3 of the band
 length, its 16 sample points per band and unit of degree for the bounds that
 decide which trials get the exact kernel, the L2 rule of 2n + 40 points, the
-16-point grid per band on which a weight's h must be positive and the 8-band
-collocation limit.
+16-point grid per band on which a weight's h must be positive, the 8-band
+collocation limit, and the cutting-plane LP's Newton step: at most
+`_NEWTON_STEPS` = 8 iterations, and no atom within `_NEWTON_SEPARATION` =
+1e-9 of its band's length of an existing row.
 """
 
 from __future__ import annotations

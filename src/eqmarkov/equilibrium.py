@@ -350,10 +350,10 @@ def omega_limit(
     e: IntervalUnion, j: int, xi: Sequence[float] | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> EndpointData:
     """Closed-form limit of sqrt|t - a_j| * density at endpoint j (1-based)."""
-    if xi is None:
-        xi = solve_xi(e, tol)
     if not 1 <= j <= 2 * e.m:
         raise InvalidArgumentError(f"endpoint index {j} out of range")
+    if xi is None:
+        xi = solve_xi(e, tol)
     others = e.endpoints[: j - 1] + e.endpoints[j:]
     return EndpointData(_gap_quotient(e.endpoints[j - 1], xi, others))
 

@@ -14,11 +14,18 @@ Sup-norm extremal problems are semi-infinite linear programs solved by cutting
 planes: start from a small Chebyshev-spaced constraint grid, solve one LP (the
 feasible set is symmetric, so one sign suffices), take the witness's exact sup
 norm, and add every critical point where |P| pokes above 1 as a new constraint
-until the norm is certified to 1 + cert_slack.  The reported value therefore
-brackets the true extremum within that slack from above.  Each LP is solved
-on numpy alone, by a simplex exchange on its L1 dual (Hettich & Kortanek,
-SIAM Review 1993; the Remez exchange of Pachon & Trefethen, BIT 2009) that is
-warm-started from the reference the previous LP ended on.  A Markov constant
+until the norm is certified to 1 + cert_slack.  Each LP is solved on numpy
+alone, by a simplex exchange on its L1 dual (Hettich & Kortanek, SIAM Review
+1993; the Remez exchange of Pachon & Trefethen, BIT 2009) that is
+warm-started from the reference the previous LP ended on.  On a degenerate
+optimum the witness's excess over 1 shrinks only linearly from round to
+round, so a round that does not certify also takes a Newton step on the KKT
+system of its final reference (the local reduction of the same paper): its
+atoms join the cuts, and its polynomial may stand in for the next LP's
+witness if it passes every check that witness passes.  The reported value is
+always the LP's, on a finite subset of the set, so it brackets the true
+extremum within cert_slack from above; the witness is the LP's or the
+Newton polynomial, whichever certifies.  A Markov constant
 is the sup of such pointwise values over the set; its sweep walks from every
 band end to the argmax of its own witness's |P^(k)|, so it is a certified
 lower bound on that sup.  L2 problems become
@@ -44,6 +51,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -177,10 +185,7 @@ def _derivative(basis: PolyBasis, coeffs: np.ndarray, k: int) -> np.ndarray:
     """Coefficient rows of P^(k) in the same basis, for a (g, dim) stack."""
     if basis.kind == "algebraic-chebyshev":
         lo, hi = basis.reference
-        # T_j' = 2j (T_{j-1} + T_{j-3} + ...), with T_0 counted once
-        j = np.arange(basis.dim)
-        step = np.where((j[:, None] > j) & ((j[:, None] - j) % 2 == 1), 2.0 * j[:, None], 0.0)
-        step[:, 0] *= 0.5
+        step = _chebyshev_step(basis.dim)
         out = coeffs
         for _ in range(k):
             out = out @ step
@@ -191,6 +196,18 @@ def _derivative(basis: PolyBasis, coeffs: np.ndarray, k: int) -> np.ndarray:
         out[:, 0] = 0.0
         out[:, 1::2], out[:, 2::2] = j * out[:, 2::2], -j * out[:, 1::2]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_step(dim: int) -> np.ndarray:
+    """The read-only (dim, dim) matrix that maps a row of Chebyshev
+    coefficients to those of its derivative on [-1, 1]."""
+    # T_j' = 2j (T_{j-1} + T_{j-3} + ...), with T_0 counted once
+    j = np.arange(dim)
+    step = np.where((j[:, None] > j) & ((j[:, None] - j) % 2 == 1), 2.0 * j[:, None], 0.0)
+    step[:, 0] *= 0.5
+    step.flags.writeable = False
+    return step
 
 
 def _colleague(c: np.ndarray) -> np.ndarray:
@@ -462,6 +479,112 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
         pivots += 1
 
 
+# Newton on a reference's KKT system takes at most _NEWTON_STEPS steps, and
+# an atom closer to an existing row than _NEWTON_SEPARATION times its band's
+# length does not become a row
+_NEWTON_STEPS = 8
+_NEWTON_SEPARATION = 1e-9
+
+
+def _newton_reference(basis: PolyBasis, bands, objective, ref_points, weights, coeff, candidates, grid):
+    """The extremal polynomial that the LP's final reference converges to,
+    by Newton's method on its KKT system (the local reduction of Hettich &
+    Kortanek, SIAM Review 1993); returns its coefficients and its free atoms
+    that lie farther than _NEWTON_SEPARATION from every point of `grid`, or
+    None.
+
+    Adjacent reference points of one band whose weights share a sign merge
+    into one atom of their summed weight.  An atom at a band end stays
+    there; every other atom t_j starts at the point of `candidates`, the
+    witness `coeff`'s critical points, that lies inside its band, has its
+    sign and is nearest the middle of its merged points.
+    The unknowns are the coefficients x, the free atoms t_I and the signed
+    weights w; the equations are P(t_j) = sign(w_j) on every atom,
+    P'(t_j) = 0 on the free ones and sum_j w_j v(t_j) = objective, a square
+    system for any number of atoms.  Newton gives up when the residual
+    grows, a weight changes sign, a free atom leaves the inside of its band
+    or anything is not finite.  Its result is a candidate only: the caller
+    checks it as it checks an LP witness.
+    """
+    eps = np.finfo(float).eps
+    lows, highs = np.array(bands).T
+    # a start-grid end is c + r cos(pi), within a few ulps of the band's end
+    near = 8.0 * eps * np.maximum(np.abs(lows), np.abs(highs))
+    order = np.argsort(ref_points)
+    t, w = ref_points[order], weights[order]
+    band = np.minimum(np.searchsorted(highs + near, t), len(bands) - 1)
+    sign = np.where(w < 0.0, -1.0, 1.0)
+    first = np.concatenate(([True], (band[1:] != band[:-1]) | (sign[1:] != sign[:-1])))
+    last = np.concatenate((first[1:], [True]))
+    w = np.bincount(np.cumsum(first) - 1, weights=w)
+    sign, band = sign[first], band[first]
+    lo, hi = lows[band], highs[band]
+    at_lo, at_hi = t[first] <= lo + near[band], t[last] >= hi - near[band]
+    if np.any(at_lo & at_hi):
+        return None
+    # every other atom starts at the inner critical point of the witness
+    # that has the atom's sign and lies nearest the middle of its group
+    fits = (candidates > lows[:, None]) & (candidates < highs[:, None])
+    signs = np.sign(_values(basis, coeff[None, :], candidates[None, :])[0])
+    distance = np.where(fits[band] & (signs == sign[:, None]),
+                        np.abs(candidates - 0.5 * (t[first] + t[last])[:, None]), np.inf)
+    pick = np.argmin(distance, axis=1)
+    free = ~(at_lo | at_hi)
+    if not np.all(np.isfinite(distance[free, pick[free]])):
+        return None
+    atoms = np.where(at_lo, lo, np.where(at_hi, hi, candidates[pick]))
+    if np.any(np.diff(atoms) <= 0.0):
+        return None
+    m, dim = atoms.size, basis.dim
+    idx = np.flatnonzero(free)
+    q, ends = idx.size, (lo[idx], hi[idx])
+    # v'(t) = D1 v(t) and v''(t) = D2 v(t): one design matrix per step
+    eye = np.eye(dim)
+    d1, d2 = _derivative(basis, eye, 1).T, _derivative(basis, eye, 2).T
+    # unknowns z = (x, t_I, w); equations P(t) - sign, P'(t_I), V^T w - objective
+    z = np.concatenate((coeff, atoms[idx], w))
+    x, inner, w = z[:dim], z[dim : dim + q], z[dim + q :]         # views of z
+    jac = np.zeros((z.size, z.size))
+    moved = (idx, dim + np.arange(q))               # dP(t_j) / dt_j
+    curved = (m + np.arange(q), dim + np.arange(q))  # dP'(t_j) / dt_j
+    # convergence is quadratic, so a step below sqrt(eps) of each unknown's
+    # scale leaves it at round-off
+    scale = math.sqrt(eps) * np.concatenate(
+        (np.full(dim, np.max(np.abs(coeff))), ends[1] - ends[0], np.full(m, np.max(np.abs(w)))))
+    previous = np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            atoms[idx] = inner
+            v = basis.design_matrix(atoms)
+            v1 = v[idx] @ d1
+            slope = v1 @ x
+            residual = np.concatenate((v @ x - sign, slope, v.T @ w - objective))
+            size = np.max(np.abs(residual))
+            if not size < previous:             # grown, or not finite
+                return None
+            previous = size
+            jac[:m, :dim] = v
+            jac[moved] = slope
+            jac[m : m + q, :dim] = v1
+            jac[curved] = v[idx] @ (d2 @ x)
+            jac[m + q :, dim : dim + q] = v1.T * w[idx]
+            jac[m + q :, dim + q :] = v.T
+            try:
+                step = np.linalg.solve(jac, residual)
+            except np.linalg.LinAlgError:
+                return None
+            z -= step
+            # NaN fails both tests
+            if not (np.all(w * sign > 0.0) and np.all((inner > ends[0]) & (inner < ends[1]))):
+                return None
+            if np.all(np.abs(step) <= scale):
+                break
+        else:
+            return None
+    gap = np.min(np.abs(inner[:, None] - grid[None, :]), axis=1, initial=np.inf)
+    return x.copy(), inner[gap > _NEWTON_SEPARATION * (ends[1] - ends[0])]
+
+
 class _CuttingPlaneLP:
     """The constraints |P| <= 1 at finitely many points of the set.
 
@@ -477,6 +600,12 @@ class _CuttingPlaneLP:
     the previous one ended on: `ref` indexes `rows`, which only ever grow.
     The first reference is dim points evenly spread over the (ascending)
     start grid, which the Haar property of both bases makes nonsingular.
+
+    A reported value is always the LP's, on a finite subset of the set, so
+    it bounds the true extremum from above; its witness is the LP's or,
+    after a round that did not certify, the Newton polynomial of that
+    round's reference, whichever certifies.  Newton's atoms are points of
+    the set like every other row.
     """
 
     def __init__(self, domain, basis: PolyBasis, tol: Tolerances):
@@ -494,10 +623,35 @@ class _CuttingPlaneLP:
         if np.linalg.cond(v_start) > tol.basis_cond_max:
             raise NumericFailureError("basis is ill-conditioned on the constraint grid")
         self.rows, self.r_fac = np.linalg.qr(v_start)
-        self.ref = np.round(np.linspace(0, self.grid.size - 1, basis.dim)).astype(int)
+        self.first_ref = np.round(np.linspace(0, self.grid.size - 1, basis.dim)).astype(int)
+        self.ref = self.first_ref
+        self.atoms = np.zeros(self.grid.size, dtype=bool)    # the rows that Newton added
 
     def _to_working(self, mat: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.r_fac.T, mat.T).T
+
+    def _add_rows(self, points: np.ndarray, atoms: bool = False) -> None:
+        self.rows = np.vstack([self.rows, self._to_working(self.basis.design_matrix(points))])
+        self.grid = np.concatenate([self.grid, points])
+        self.atoms = np.concatenate([self.atoms, np.full(points.size, atoms)])
+
+    def _drop_atoms(self, ref: np.ndarray) -> None:
+        """Delete every row that Newton added, and make `ref` the reference,
+        renumbered, or the first one if it held such a row."""
+        keep = ~self.atoms
+        self.rows, self.grid, self.atoms = self.rows[keep], self.grid[keep], self.atoms[keep]
+        self.ref = (np.cumsum(keep) - 1)[ref] if keep[ref].all() else self.first_ref
+
+    def _newton_norm(self, coeff: np.ndarray, objective: np.ndarray, value: float) -> float | None:
+        """The exact sup norm of a Newton polynomial that passes every check
+        an LP witness of value `value` passes, else None."""
+        tol = self.tol
+        if abs(abs(float(objective @ coeff)) - value) > tol.objective_recheck * max(1.0, abs(value)):
+            return None
+        if float(np.max(np.abs(self.rows @ (self.r_fac @ coeff)))) > 1.0 + tol.cert_slack:
+            return None
+        norm = float(np.max(_abs_extrema(self.basis, coeff[None, :], self.bands)[1]))
+        return norm if norm <= 1.0 + tol.cert_slack else None
 
     def solve(self, x0: float, k: int) -> ExtremalResult:
         """sup |P^(k)(x0)| subject to |P| <= 1 on the set, certified exactly.
@@ -505,37 +659,70 @@ class _CuttingPlaneLP:
         The feasible set is centrally symmetric, so max c.x = max |c.x| and
         one LP per round suffices.  Each round certifies the witness's exact
         sup norm and adds every critical point above 1 as a cutting plane.
+        A round that does not certify also runs `_newton_reference` on the
+        LP's final reference and adds its atoms as rows; the next round's
+        witness is its polynomial x* instead of the LP's if x* passes every
+        check an LP witness passes (its own rows and its exact norm within
+        cert_slack, and c.x* within objective_recheck of the LP's value).
+        If the exchange or the witness fails while Newton's rows are in
+        place, the round is solved again without any of them.
         """
         basis, tol = self.basis, self.tol
         objective = basis.design_matrix([x0], deriv=k)[0]
         objective_w = self._to_working(objective[None, :])[0]
         refinements = 0
+        newton = None       # the last round's Newton polynomial
         while True:
             if self.rows.shape[0] > tol.lp_max_constraints:
                 raise ResourceLimitError("constraint grid exceeded the LP limit")
-            solution, self.ref = _exchange(self.rows, objective_w, self.ref, tol)
-            coeff = np.linalg.solve(self.r_fac, solution)
-            points, values = _abs_extrema(basis, coeff[None, :], self.bands)
-            certified = float(np.max(values))
-            if certified <= 1.0 + tol.cert_slack:
-                break
-            excess = float(np.max(np.abs(self.rows @ solution))) - 1.0
-            if excess > tol.cert_slack:
-                # the exchange stopped at round-off above its own rows, so
-                # re-adding a violated point cannot bring the witness within
-                # cert_slack
-                raise NumericFailureError(
-                    f"LP witness exceeds its own constraints by {excess:.1e}, more than "
-                    f"cert_slack {tol.cert_slack:.1e} (lp_feasibility {tol.lp_feasibility:.1e})"
-                )
+            start = self.ref
+            try:
+                solution, self.ref = _exchange(self.rows, objective_w, self.ref, tol)
+                coeff = np.linalg.solve(self.r_fac, solution)
+                points, values = _abs_extrema(basis, coeff[None, :], self.bands)
+                certified = float(np.max(values))
+                if certified <= 1.0 + tol.cert_slack:
+                    break
+                if newton is not None:
+                    norm = self._newton_norm(newton, objective, float(objective_w @ solution))
+                    if norm is not None:
+                        coeff, certified = newton, norm
+                        break
+                excess = float(np.max(np.abs(self.rows @ solution))) - 1.0
+                if excess > tol.cert_slack:
+                    # the exchange stopped at round-off above its own rows, so
+                    # re-adding a violated point cannot bring the witness within
+                    # cert_slack
+                    raise NumericFailureError(
+                        f"LP witness exceeds its own constraints by {excess:.1e}, more than "
+                        f"cert_slack {tol.cert_slack:.1e} (lp_feasibility {tol.lp_feasibility:.1e})"
+                    )
+            except NumericFailureError:
+                if not self.atoms.any():
+                    raise
+                # Newton's atoms can make the exchange cycle: solve the round
+                # again on the plain cuts alone, which after one Newton step
+                # is the round as if Newton had not run
+                self._drop_atoms(start)
+                newton = None
+                continue
             if refinements >= tol.refine_max_rounds:
                 raise NumericFailureError("cutting-plane refinement did not converge")
             # the argmax is always a cut, also when cert_slack < lp_feasibility;
             # a root clipped to its band end duplicates that end, and enters once
             cuts = np.sort(points[values > 1.0 + min(tol.cert_slack, tol.lp_feasibility)])
             cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-            self.rows = np.vstack([self.rows, self._to_working(basis.design_matrix(cuts))])
-            self.grid = np.concatenate([self.grid, cuts])
+            self._add_rows(cuts)
+            newton = None
+            # below round-off the Newton polynomial would certify where the
+            # LP's own rows cannot
+            if tol.cert_slack >= _roundoff(basis, coeff[None, :])[0]:
+                weights = np.linalg.solve(self.rows[self.ref].T, objective_w)
+                found = _newton_reference(basis, self.bands, objective, self.grid[self.ref], weights,
+                                          coeff, points[0], self.grid)
+                if found is not None and self.rows.shape[0] + found[1].size <= tol.lp_max_constraints:
+                    newton = found[0]
+                    self._add_rows(found[1], atoms=True)
             refinements += 1
         value = float(objective_w @ solution)
         recheck = abs(float(objective @ coeff))

@@ -365,6 +365,30 @@ class TestPlumbing:
         code, _, err = run(capsys, "factors", "--beta", "4.0", "--point", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("weight", [
+        {"exponents": 5},
+        {"exponents": ["a", 1]},
+        {"exponents": "11"},
+        {"exponents": [0.5, True]},
+        {"exponents": [0.5, 0.5], "extra": 1},
+        {"exponents": [10**400, 1]},
+    ], ids=["number", "string-entry", "string", "boolean-entry", "extra-key", "beyond-float"])
+    @pytest.mark.parametrize("command", ["l2", "factors"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_weight_object_is_checked_inside(self, capsys, tmp_path, weight, command, route):
+        # exactly the key "exponents", holding an array of numbers; JSON
+        # booleans are not numbers here, as for every config value
+        argv = [command, "--set", UNIT, "--n", "4"]
+        if route == "flag":
+            argv += ["--weight", json.dumps(weight)]
+        else:
+            conf = tmp_path / "run.json"
+            conf.write_text(json.dumps({"weight": weight}))
+            argv += ["--config", str(conf)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "weight" in err and "Traceback" not in err
+
 
 # The flags each subcommand reads, written out here rather than taken from
 # the CLI's own table; every subcommand also takes --config, --format and --out.

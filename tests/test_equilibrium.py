@@ -238,6 +238,14 @@ class TestEndpointLimits:
         assert abs(omega_limit(SPLIT, 1, xi).omega_limit - outer) < 1e-13
         assert abs(omega_limit(SPLIT, 4, xi).omega_limit - outer) < 1e-13
 
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_limit_checks_its_index_before_the_gap_points(self, j):
+        # the gap points of these bands miss their residual bound (a numeric
+        # failure), so the argument fault must be found before they are solved
+        far = IntervalUnion((1e5, 1e5 + 1.0, 1e5 + 2.0, 1e5 + 3.0))
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            omega_limit(far, j)
+
     def test_mirror_endpoints_agree(self):
         xi = solve_xi(SPLIT)
         left = omega_limit(SPLIT, 1, xi).omega_limit

@@ -783,7 +783,9 @@ class TestExchangeOracles:
 
         monkeypatch.setattr(ex._CuttingPlaneLP, "solve", recording)
         res = solve_problem(domain, n, x0, k)
-        point, _, reference = next(s for s in solved if s[1].coefficients == res.coefficients)
+        # a Markov walk can reach one extremal polynomial at several points
+        point, _, reference = next(
+            s for s in solved if (s[1].coefficients, s[1].value) == (res.coefficients, res.value))
         cover = domain.covering_interval
         with mpmath.workdps(30):
             half = (mpmath.mpf(cover[1]) - cover[0]) / 2
@@ -912,6 +914,139 @@ class TestExchangeCycles:
         except NumericFailureError:
             pass
         assert time.perf_counter() - start < 1.0
+
+
+# The cutting-plane route without its Newton step, per SUP_ORACLE problem:
+# exchange calls, the refinements of each LP solve in call order, and the
+# value, all as the plain route gives them.
+PLAIN_ROUTE = {
+    "unit-n7": (3, [2], 7.000000007297644),
+    "unit-n8": (9, [8], 7.000003152487095),
+    "unit-n9": (3, [2], 9.000000019896289),
+    "unit-n8-k2": (9, [8], 59.899065689817185),
+    "unit-n7-k3": (10, [9], 226.8751842890375),
+    "unit-markov-n5": (4, [2, 0], 25.000000001920696),
+    "unit-markov-n6-k2": (4, [2, 0], 420.00000045825675),
+    "unit-markov-n5-k3": (4, [2, 0], 840.000000081625),
+    "two-n8": (8, [7], 8.84699675249387),
+    "two-markov-n2": (18, [0, 7, 7, 0], 4.166666666666667),
+    "two-markov-n4": (7, [2, 0, 1, 0], 16.66666666667377),
+    "arc2-n6": (12, [11], 6.99092693117266),
+    "arc2-markov-n4": (5, [3, 0], 20.54696370990456),
+}
+# exchange calls with the Newton step
+NEWTON_ROUTE = {
+    "unit-n7": 2, "unit-n8": 4, "unit-n9": 2, "unit-n8-k2": 2, "unit-n7-k3": 2,
+    "unit-markov-n5": 3, "unit-markov-n6-k2": 3, "unit-markov-n5-k3": 3,
+    "two-n8": 2, "two-markov-n2": 6, "two-markov-n4": 6, "arc2-n6": 2, "arc2-markov-n4": 3,
+}
+# optima where the plain route converges only linearly
+DEGENERATE = ("unit-n8", "unit-n8-k2", "unit-n7-k3", "two-n8", "two-markov-n2", "arc2-n6")
+
+
+@pytest.fixture
+def lp_rounds(monkeypatch):
+    """The refinements of every LP solve, in call order, while the test
+    runs."""
+    import eqmarkov.extremal as ex
+
+    rounds = []
+    solve = ex._CuttingPlaneLP.solve
+
+    def recording(self, point, order):
+        res = solve(self, point, order)
+        rounds.append(res.refinements)
+        return res
+
+    monkeypatch.setattr(ex._CuttingPlaneLP, "solve", recording)
+    return rounds
+
+
+class TestNewtonStep:
+    """The local-reduction Newton step of the cutting-plane LP: fewer LPs,
+    the same values within cert_slack, and the plain route whenever it
+    fails."""
+
+    @pytest.mark.parametrize("domain, n, x0, k", SUP_ORACLE)
+    def test_fewer_exchanges(self, request, lp_solves, lp_rounds, domain, n, x0, k):
+        label = request.node.callspec.id
+        res = solve_problem(domain, n, x0, k)
+        plain_calls, _, plain_value = PLAIN_ROUTE[label]
+        assert len(lp_solves) == NEWTON_ROUTE[label] <= plain_calls
+        assert abs(res.value - plain_value) <= DEFAULT_TOL.cert_slack * plain_value
+        assert res.certified_norm <= 1.0 + DEFAULT_TOL.cert_slack
+        if label in DEGENERATE:
+            assert max(lp_rounds) <= 2
+
+    def test_exchange_total(self, lp_solves):
+        for p in SUP_ORACLE:
+            solve_problem(*p.values)
+        assert len(lp_solves) == sum(NEWTON_ROUTE.values()) <= 45
+
+    @pytest.mark.parametrize("domain, n, x0, k", SUP_ORACLE)
+    def test_failed_newton_is_the_plain_route(self, monkeypatch, request, lp_solves, lp_rounds,
+                                              domain, n, x0, k):
+        import eqmarkov.extremal as ex
+
+        monkeypatch.setattr(ex, "_newton_reference", lambda *args: None)
+        res = solve_problem(domain, n, x0, k)
+        assert (len(lp_solves), lp_rounds, res.value) == PLAIN_ROUTE[request.node.callspec.id]
+
+    @pytest.mark.parametrize("domain, n, x0, k", SUP_ORACLE)
+    def test_exchange_failing_on_newton_rows_is_the_plain_route(self, monkeypatch, request, lp_rounds,
+                                                                domain, n, x0, k):
+        # every LP on rows that Newton added fails as a cycling exchange
+        # does, and is solved again on that round's plain cuts
+        import eqmarkov.extremal as ex
+
+        newton, exchange = ex._newton_reference, ex._exchange
+        added = []
+
+        def adding(*args):
+            found = newton(*args)
+            added.append(found is not None and found[1].size > 0)
+            return found
+
+        def failing(rows, objective, ref, tol):
+            if added and added.pop():
+                raise NumericFailureError("LP exchange cycles on a degenerate reference")
+            return exchange(rows, objective, ref, tol)
+
+        monkeypatch.setattr(ex, "_newton_reference", adding)
+        monkeypatch.setattr(ex, "_exchange", failing)
+        res = solve_problem(domain, n, x0, k)
+        _, plain_rounds, plain_value = PLAIN_ROUTE[request.node.callspec.id]
+        assert (lp_rounds, res.value) == (plain_rounds, plain_value)
+
+    @pytest.mark.parametrize("mutant", ["scaled-up", "scaled-down", "random"])
+    @pytest.mark.parametrize("domain, n, x0, k", [
+        p for p in SUP_ORACLE if p.id in DEGENERATE
+    ])
+    def test_perturbed_polynomial_is_never_the_witness(self, monkeypatch, mutant, domain, n, x0, k):
+        import eqmarkov.extremal as ex
+
+        newton = ex._newton_reference
+        rng = np.random.default_rng(7)
+        offered = []
+
+        def perturbed(*args):
+            found = newton(*args)
+            if found is None:
+                return None
+            x, atoms = found
+            if mutant == "scaled-up":
+                x = x * (1.0 + 1e-6)
+            elif mutant == "scaled-down":
+                x = x * (1.0 - 1e-6)
+            else:
+                x = x + 1e-6 * np.max(np.abs(x)) * rng.standard_normal(x.size)
+            offered.append(tuple(x.tolist()))
+            return x, atoms
+
+        monkeypatch.setattr(ex, "_newton_reference", perturbed)
+        res = solve_problem(domain, n, x0, k)
+        assert offered and res.coefficients not in offered
+        assert res.certified_norm <= 1.0 + DEFAULT_TOL.cert_slack
 
 
 # ---------------------------------------------------------------------------
