@@ -94,7 +94,7 @@ class RunConfig:
     weight: dict | None = None
     grid: int = 512
     seed: int = 0
-    trials: int | None = None
+    trials: int = 200
     mode: str = "markov"
     inequality: str | None = None
     sweep: str | None = None
@@ -109,7 +109,7 @@ class RunConfig:
             raise InvalidArgumentError("--k must be >= 1")
         if self.grid < 2:
             raise InvalidArgumentError("--grid must be at least 2")
-        if self.trials is not None and self.trials < 1:
+        if self.trials < 1:
             raise InvalidArgumentError("--trials must be >= 1")
         if self.fmt not in _FORMATS:
             raise InvalidArgumentError(f"--format must be one of {_FORMATS}")
@@ -452,6 +452,8 @@ def cmd_factors(config: RunConfig) -> tuple[str, int]:
             raise InvalidArgumentError("curve factors need --point")
         z = point
         if isinstance(s, Circle) and not isinstance(point, complex):
+            if not math.isfinite(point):
+                raise InvalidArgumentError("--point: the angle of a circle point must be finite")
             z = s.center + s.radius * complex(math.cos(point), math.sin(point))
         entries.append(_report_entry(riesz_factor(s, z), point=[z.real, z.imag]))
         higher_at = (z, [z.real, z.imag])
@@ -558,7 +560,6 @@ def cmd_verify(config: RunConfig) -> tuple[str, int]:
         raise InvalidArgumentError("--corrupt-density scales a density that no inequality of this suite reads")
     if config.k is not None and "va-markov" not in suite:
         raise InvalidArgumentError("--k gives the order of va-markov, which this suite does not run")
-    trials = config.trials if config.trials is not None else DEFAULT_TOL.verify_default_trials
     scale = 0.5 if config.corrupt_density else 1.0
     order = 2 if config.k is None else config.k
     density = None      # built once, for the inequalities that read one
@@ -570,7 +571,7 @@ def cmd_verify(config: RunConfig) -> tuple[str, int]:
     any_violation = False
     for name in sorted(suite):
         rep = verify_inequality(
-            s, name, trials=trials, rng_seed=config.seed, order=order,
+            s, name, trials=config.trials, rng_seed=config.seed, order=order,
             density_scale=scale, density=density,
         )
         any_violation = any_violation or not rep.ok
@@ -601,7 +602,7 @@ def cmd_verify(config: RunConfig) -> tuple[str, int]:
         "command": "verify",
         "set": set_to_json(s),
         "seed": config.seed,
-        "trials_per_inequality": trials,
+        "trials_per_inequality": config.trials,
         "density_corrupted": config.corrupt_density,
         "reports": reports,
     }

@@ -81,16 +81,25 @@ __all__ = [
 ]
 
 
+# fixed design constants (see the list in `config`)
+_QUAD_INITIAL_POINTS = 64
+_QUAD_MAX_POINTS = 4096
+_QUAD_REL = 1e-12
+_BAND_EXPANSION_DEGREE = 64
+_XI_GAP_RESIDUAL = 1e-11
+_MASS_TOL = 1e-8
+_FROSTMAN_SPREAD = 1e-6
+_FROSTMAN_BUFFER_REL = 1e-3
+_COLLOCATION_COND_MAX = 1e12
+_OMEGA_EXTRAPOLATION = 1e-6
+_EXTRAPOLATION_CHORDS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
 # ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _sqrt_weight_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float | np.ndarray:
+def _sqrt_weight_integral(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float | np.ndarray:
     """int_lo^hi g(u)/sqrt((u-lo)(hi-u)) du for analytic g.
 
     With u = c + r x this is int_{-1}^{1} g(c + r x)/sqrt(1-x^2) dx, which the
@@ -98,8 +107,8 @@ def _sqrt_weight_integral(
     of the periodic integrand g(c + r cos s), geometrically convergent for
     analytic g (Trefethen & Weideman, SIAM Review 2014).  The rule's nodes are
     exactly antisymmetric, so symmetric sets cancel odd integrands in floating
-    point.  Doubling from quad_initial_points until the value moves by less
-    than quad_rel * max(1, |value|).
+    point.  Doubling from _QUAD_INITIAL_POINTS until the value moves by less
+    than _QUAD_REL * max(1, |value|).
 
     g may return a stack of rows, one integrand per row: the result is then
     the array of their integrals, and the doubling stops only when every
@@ -107,12 +116,12 @@ def _sqrt_weight_integral(
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    n = tol.quad_initial_points
+    n = _QUAD_INITIAL_POINTS
     prev = None
-    while n <= tol.quad_max_points:
+    while n <= _QUAD_MAX_POINTS:
         rule = gauss_chebyshev(n)
         val = np.asarray(g(c + r * rule.nodes), dtype=float) @ rule.weights
-        if prev is not None and np.all(abs(val - prev) < tol.quad_rel * np.maximum(1.0, abs(val))):
+        if prev is not None and np.all(abs(val - prev) < _QUAD_REL * np.maximum(1.0, abs(val))):
             return float(val) if val.ndim == 0 else val
         prev = val
         n *= 2
@@ -140,16 +149,16 @@ def _cheb_log_integrals(sigma: np.ndarray, pmax: int) -> np.ndarray:
     return out
 
 
-def _cheb_coeffs_of(g: Callable[[np.ndarray], np.ndarray], tol: Tolerances) -> np.ndarray:
+def _cheb_coeffs_of(g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Chebyshev expansion of an analytic function, degree doubled until the
     tail is at machine level (relative 1e-13)."""
-    deg = tol.band_expansion_degree
+    deg = _BAND_EXPANSION_DEGREE
     while True:
         coeffs = _cheb.chebinterpolate(g, deg)
         scale = float(np.max(np.abs(coeffs)))
         if scale == 0.0:
             return coeffs
-        if float(np.max(np.abs(coeffs[-4:]))) <= 1e-13 * scale or deg >= 8 * tol.band_expansion_degree:
+        if float(np.max(np.abs(coeffs[-4:]))) <= 1e-13 * scale or deg >= 8 * _BAND_EXPANSION_DEGREE:
             return coeffs
         deg *= 2
 
@@ -234,7 +243,7 @@ def _band_index(t: np.ndarray, spans) -> np.ndarray:
 # gap points (interval unions)
 # ---------------------------------------------------------------------------
 
-def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
+def solve_xi(e: IntervalUnion) -> list[float]:
     """Gap points xi_1 < ... < xi_{m-1}: one in each gap of E.
 
     The defining conditions (each gap integral of the monic gap polynomial
@@ -254,7 +263,7 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
     moments = np.empty((npoly, npoly + 1))
     for j, (glo, ghi) in enumerate(e.gaps):
         moments[j] = _sqrt_weight_integral(
-            lambda u: u**powers * _gap_quotient(u, (), others[j], 1.0), glo, ghi, tol
+            lambda u: u**powers * _gap_quotient(u, (), others[j], 1.0), glo, ghi
         )
     a = moments[:, :npoly]
     rhs = -moments[:, npoly]
@@ -272,9 +281,7 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
                 f"gap polynomial does not change sign across gap {j + 1}; "
                 "root left its gap"
             )
-        root = find_root_bracketed(
-            lambda u: float(np.polynomial.polynomial.polyval(u, poly)), glo, ghi, tol=tol
-        )
+        root = find_root_bracketed(lambda u: float(np.polynomial.polynomial.polyval(u, poly)), glo, ghi)
         if not glo < root < ghi:
             raise NumericFailureError(f"xi escaped gap {j + 1}")
         xi.append(root)
@@ -288,8 +295,8 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
                 q = q * (u - x0)
             return q * _gap_quotient(u, (), others[j], 1.0)
 
-        residual = abs(_sqrt_weight_integral(integrand, glo, ghi, tol))
-        if residual > tol.xi_gap_residual * diam:
+        residual = abs(_sqrt_weight_integral(integrand, glo, ghi))
+        if residual > _XI_GAP_RESIDUAL * diam:
             raise NumericFailureError(
                 f"gap condition residual {residual:.3e} in gap {j + 1}"
             )
@@ -300,16 +307,26 @@ def solve_xi(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> list[float]:
 # pointwise density formulas
 # ---------------------------------------------------------------------------
 
+_NOT_FINITE = "density or endpoint limit is not finite: a product of distances under- or overflows"
+
+
 def _gap_quotient(t, xi: Sequence[float], roots: Sequence[float], scale: float = math.pi):
     """prod |t - xi_i| / (scale sqrt(prod |t - a|)) over the given roots a,
-    for a float t or an array, by the same products in the same order."""
+    for a float t or an array, by the same products in the same order.  A
+    float quotient that is not finite raises NumericFailureError."""
     array = isinstance(t, np.ndarray)
     num = den = np.ones_like(t) if array else 1.0
     for x0 in xi:
         num = num * abs(t - x0)
     for a in roots:
         den = den * abs(t - a)
-    return num / (scale * (np.sqrt(den) if array else math.sqrt(den)))
+    if array:
+        return num / (scale * np.sqrt(den))
+    root = scale * math.sqrt(den)
+    value = num / root if root else math.inf
+    if not value < math.inf:            # also NaN
+        raise NumericFailureError(_NOT_FINITE)
+    return value
 
 
 def density_intervals(e: IntervalUnion, xi: Sequence[float], t: float) -> float:
@@ -335,9 +352,9 @@ def density_circle(c: Circle) -> float:
     return 1.0 / (2.0 * math.pi * c.radius)
 
 
-def density_lemniscate(lem: Lemniscate, z: complex, tol: Tolerances = DEFAULT_TOL) -> float:
+def density_lemniscate(lem: Lemniscate, z: complex) -> float:
     """Density on |T(z)| = 1 per arc length: |T'(z)| / (2 pi N)."""
-    if not lem.on_curve(z, tol.lemniscate_on_curve):
+    if not lem.on_curve(z):
         raise DomainError("point is not on the lemniscate")
     return abs(lem.derivative_value(z)) / (2.0 * math.pi * lem.degree)
 
@@ -346,14 +363,12 @@ def density_lemniscate(lem: Lemniscate, z: complex, tol: Tolerances = DEFAULT_TO
 # endpoint limits
 # ---------------------------------------------------------------------------
 
-def omega_limit(
-    e: IntervalUnion, j: int, xi: Sequence[float] | None = None, tol: Tolerances = DEFAULT_TOL
-) -> EndpointData:
+def omega_limit(e: IntervalUnion, j: int, xi: Sequence[float] | None = None) -> EndpointData:
     """Closed-form limit of sqrt|t - a_j| * density at endpoint j (1-based)."""
     if not 1 <= j <= 2 * e.m:
         raise InvalidArgumentError(f"endpoint index {j} out of range")
     if xi is None:
-        xi = solve_xi(e, tol)
+        xi = solve_xi(e)
     others = e.endpoints[: j - 1] + e.endpoints[j:]
     return EndpointData(_gap_quotient(e.endpoints[j - 1], xi, others))
 
@@ -372,9 +387,7 @@ def _neville_richardson(values: Sequence[float], ratio: float) -> tuple[float, f
     return col[0], abs(col[0] - last_penultimate)
 
 
-def omega_limit_extrapolated(
-    d: EquilibriumDensity, j: int, tol: Tolerances = DEFAULT_TOL
-) -> EndpointData:
+def omega_limit_extrapolated(d: EquilibriumDensity, j: int) -> EndpointData:
     """Omega_j from the density alone: Richardson extrapolation of
     sqrt(dist) * omega over distances 1e-2 .. 1e-5 approaching endpoint j.
 
@@ -394,7 +407,7 @@ def omega_limit_extrapolated(
         return 2.0 * math.asin(0.5 * dist) if d.geometry == "circle" else dist
 
     length = hi - lo
-    dists = np.asarray(tol.extrapolation_chords)
+    dists = np.asarray(_EXTRAPOLATION_CHORDS)
     if offset(dists[0]) >= 0.25 * length:
         dists = dists * (0.25 * length / offset(dists[0]))
     fvals = []
@@ -402,7 +415,7 @@ def omega_limit_extrapolated(
         t = a + offset(dist) if side == "left" else a - offset(dist)
         fvals.append(math.sqrt(dist) * d.evaluate(t))
     value, err = _neville_richardson(fvals, 10.0)
-    if not err < tol.omega_extrapolation:
+    if not err < _OMEGA_EXTRAPOLATION:
         raise NumericFailureError(
             f"endpoint extrapolation not converging (error estimate {err:.2e})"
         )
@@ -418,7 +431,7 @@ def omega_limit_arc(
     """Omega_j on an arc union (chordal normalization)."""
     if density is None:
         density = arc_density(a, tol)
-    return omega_limit_extrapolated(density, j, tol)
+    return omega_limit_extrapolated(density, j)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +503,7 @@ def frostman_profile(d: EquilibriumDensity, tol: Tolerances = DEFAULT_TOL) -> tu
         raise InvalidArgumentError("Frostman probing needs a line or circle density")
     points = []
     for lo, hi in spans:
-        buf = tol.frostman_buffer_rel * (hi - lo)
+        buf = _FROSTMAN_BUFFER_REL * (hi - lo)
         points.append(np.linspace(lo + buf, hi - buf, probes))
     points = np.concatenate(points)
     circle = d.geometry == "circle"
@@ -520,29 +533,33 @@ def _banded_density(s, geometry, coeffs, xi, method, evaluate, evaluate_array, t
     )
     # the spread is measured on the finished record, so it is filled in by copy
     d = replace(d, frostman_spread=frostman_check(d, tol=tol))
-    _validate_density(d, tol)
+    _validate_density(d)
     return d
 
 
 def interval_density(e: IntervalUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensity:
     """Closed-form density of an interval union (the xi route)."""
-    xi = solve_xi(e, tol)
-    coeffs = [_cheb_coeffs_of(_interval_regular(e, xi, k), tol) for k in range(e.m)]
+    xi = solve_xi(e)
+    coeffs = [_cheb_coeffs_of(_interval_regular(e, xi, k)) for k in range(e.m)]
 
     def evaluate(t: float) -> float:
         return density_intervals(e, xi, t)
 
     def evaluate_array(t: np.ndarray) -> np.ndarray:
         _band_index(t, e.bands)
-        return _gap_quotient(t, xi, e.endpoints)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = _gap_quotient(t, xi, e.endpoints)
+        if not np.all(np.isfinite(values)):
+            raise NumericFailureError(_NOT_FINITE)
+        return values
 
     return _banded_density(e, "line", coeffs, xi, "closed-form", evaluate, evaluate_array, tol)
 
 
-def _validate_density(d: EquilibriumDensity, tol: Tolerances) -> None:
-    if abs(d.mass - 1.0) > tol.mass_tol:
-        raise NumericFailureError(f"density mass {d.mass!r} is not 1 within {tol.mass_tol}")
-    if not d.frostman_spread <= tol.frostman_spread:
+def _validate_density(d: EquilibriumDensity) -> None:
+    if abs(d.mass - 1.0) > _MASS_TOL:
+        raise NumericFailureError(f"density mass {d.mass!r} is not 1 within {_MASS_TOL}")
+    if not d.frostman_spread <= _FROSTMAN_SPREAD:
         raise NumericFailureError(
             f"log potential not constant: spread {d.frostman_spread:.3e}"
         )
@@ -562,7 +579,7 @@ def arc_density(a: ArcUnion, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensit
         h2 = 0.5 * beta * np.sinc(beta * (1.0 + s) / (2.0 * math.pi))
         return np.cos(0.5 * beta * s) / (2.0 * math.pi * np.sqrt(h1 * h2))
 
-    coeffs = _cheb_coeffs_of(g, tol)
+    coeffs = _cheb_coeffs_of(g)
 
     def evaluate(theta: float) -> float:
         t = wrap_angle(theta - center)
@@ -592,12 +609,12 @@ def circle_density(c: Circle, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensi
     )
 
 
-def lemniscate_density(lem: Lemniscate, tol: Tolerances = DEFAULT_TOL) -> EquilibriumDensity:
+def lemniscate_density(lem: Lemniscate) -> EquilibriumDensity:
     """Density on |T(z)| = 1; the potential is -log|T|/N + const, constant on
     the curve by construction, so no numeric Frostman check is run."""
 
     def evaluate(z) -> float:
-        return density_lemniscate(lem, complex(z), tol)
+        return density_lemniscate(lem, complex(z))
 
     return EquilibriumDensity(
         set=lem, geometry="level-set", xi=(), mass=1.0, frostman_spread=0.0,
@@ -639,7 +656,7 @@ def collocation_density(s: IntervalUnion | ArcUnion, tol: Tolerances = DEFAULT_T
 def _collocation_at(s, band_spans, geometry: str, deg: int, tol: Tolerances) -> EquilibriumDensity:
     """The certified collocation density of one degree."""
     matrix, rhs, cond = _collocation_system(band_spans, geometry, deg)
-    if cond > tol.collocation_cond_max:
+    if cond > _COLLOCATION_COND_MAX:
         raise NumericFailureError(
             f"collocation matrix ill-conditioned (estimate {cond:.2e}); "
             "try larger degree or fewer bands"

@@ -67,7 +67,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Weight, va_markov_exact, videnskii_pointwise, videnskii_markov
-from .numerics import golub_welsch, jacobi_recurrence
+from .numerics import LP_FEASIBILITY, LP_MAX_VARIABLES, golub_welsch, jacobi_recurrence
 from .sets import IntervalUnion, PeriodicSet, gamma_of
 
 __all__ = [
@@ -87,6 +87,13 @@ __all__ = [
 
 BASIS_KINDS = ("algebraic-chebyshev", "trigonometric")
 L2_MODES = ("markov", "gradient-bernstein", "omega-bernstein")
+
+# fixed design constants (see the list in `config`)
+_GRID_PER_DEGREE = 4
+_BASIS_COND_MAX = 1e10
+_OBJECTIVE_RECHECK = 1e-9
+_VERIFY_HARD = 1e-9
+_VERIFY_MAX_DEGREE = 15
 
 
 def __getattr__(name: str):
@@ -167,6 +174,13 @@ def _check_pairing(domain, basis: PolyBasis) -> None:
         raise InvalidArgumentError(
             "algebraic basis goes with interval unions, trigonometric with periodic sets"
         )
+
+
+def _check_half_widths(*spans) -> None:
+    """NumericFailureError if the half-width of a span overflows: every
+    design matrix on it would be NaN."""
+    if not all(math.isfinite(0.5 * (hi - lo)) for lo, hi in spans):
+        raise NumericFailureError("a band or the reference interval is too wide: its half-width overflows")
 
 
 def _chebyshev_spaced(bands, per_band: int) -> np.ndarray:
@@ -407,7 +421,7 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
     sign(w) interpolates the signs on B, so objective.x = sum|w|.  Any
     nonsingular reference is dual feasible, so there is no phase 1 and a
     reference from an earlier solve is a warm start.  The row where |rows @ x|
-    is largest enters while it exceeds 1 + min(cert_slack, lp_feasibility);
+    is largest enters while it exceeds 1 + min(cert_slack, LP_FEASIBILITY);
     the leaving row comes from a long-step ratio test over the breakpoints of
     sum|w| along the entering direction.  An entering row that is already in
     the reference means the pricing threshold is below round-off, and x is
@@ -423,7 +437,7 @@ def _exchange(rows: np.ndarray, objective: np.ndarray, ref: np.ndarray, tol: Tol
 
     Returns x and the final reference.
     """
-    threshold = 1.0 + min(tol.cert_slack, tol.lp_feasibility)
+    threshold = 1.0 + min(tol.cert_slack, LP_FEASIBILITY)
     pivot_floor = rows.shape[1] * np.finfo(float).eps
     pivots = 0
     target, seen, restarted = objective, set(), False
@@ -609,18 +623,17 @@ class _CuttingPlaneLP:
     """
 
     def __init__(self, domain, basis: PolyBasis, tol: Tolerances):
-        if basis.dim > tol.lp_max_variables:
-            raise ResourceLimitError(
-                f"basis dimension {basis.dim} exceeds the LP limit of {tol.lp_max_variables}"
-            )
+        if basis.dim > LP_MAX_VARIABLES:
+            raise ResourceLimitError(f"basis dimension {basis.dim} exceeds the LP limit of {LP_MAX_VARIABLES}")
         self.basis, self.tol = basis, tol
         self.bands = _bands_of(domain)
-        per = tol.grid_per_degree * basis.degree
+        _check_half_widths(basis.reference, *self.bands)
+        per = _GRID_PER_DEGREE * basis.degree
         if len(self.bands) * per > tol.lp_max_constraints:
             raise ResourceLimitError("initial constraint grid exceeds the LP limit")
         self.grid = _chebyshev_spaced(self.bands, per)
         v_start = basis.design_matrix(self.grid)
-        if np.linalg.cond(v_start) > tol.basis_cond_max:
+        if np.linalg.cond(v_start) > _BASIS_COND_MAX:
             raise NumericFailureError("basis is ill-conditioned on the constraint grid")
         self.rows, self.r_fac = np.linalg.qr(v_start)
         self.first_ref = np.round(np.linspace(0, self.grid.size - 1, basis.dim)).astype(int)
@@ -646,7 +659,7 @@ class _CuttingPlaneLP:
         """The exact sup norm of a Newton polynomial that passes every check
         an LP witness of value `value` passes, else None."""
         tol = self.tol
-        if abs(abs(float(objective @ coeff)) - value) > tol.objective_recheck * max(1.0, abs(value)):
+        if abs(abs(float(objective @ coeff)) - value) > _OBJECTIVE_RECHECK * max(1.0, abs(value)):
             return None
         if float(np.max(np.abs(self.rows @ (self.r_fac @ coeff)))) > 1.0 + tol.cert_slack:
             return None
@@ -663,7 +676,7 @@ class _CuttingPlaneLP:
         LP's final reference and adds its atoms as rows; the next round's
         witness is its polynomial x* instead of the LP's if x* passes every
         check an LP witness passes (its own rows and its exact norm within
-        cert_slack, and c.x* within objective_recheck of the LP's value).
+        cert_slack, and c.x* within _OBJECTIVE_RECHECK of the LP's value).
         If the exchange or the witness fails while Newton's rows are in
         place, the round is solved again without any of them.
         """
@@ -695,7 +708,7 @@ class _CuttingPlaneLP:
                     # cert_slack
                     raise NumericFailureError(
                         f"LP witness exceeds its own constraints by {excess:.1e}, more than "
-                        f"cert_slack {tol.cert_slack:.1e} (lp_feasibility {tol.lp_feasibility:.1e})"
+                        f"cert_slack {tol.cert_slack:.1e} (lp_feasibility {LP_FEASIBILITY:.1e})"
                     )
             except NumericFailureError:
                 if not self.atoms.any():
@@ -708,9 +721,9 @@ class _CuttingPlaneLP:
                 continue
             if refinements >= tol.refine_max_rounds:
                 raise NumericFailureError("cutting-plane refinement did not converge")
-            # the argmax is always a cut, also when cert_slack < lp_feasibility;
+            # the argmax is always a cut, also when cert_slack < LP_FEASIBILITY;
             # a root clipped to its band end duplicates that end, and enters once
-            cuts = np.sort(points[values > 1.0 + min(tol.cert_slack, tol.lp_feasibility)])
+            cuts = np.sort(points[values > 1.0 + min(tol.cert_slack, LP_FEASIBILITY)])
             cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
             self._add_rows(cuts)
             newton = None
@@ -726,7 +739,7 @@ class _CuttingPlaneLP:
             refinements += 1
         value = float(objective_w @ solution)
         recheck = abs(float(objective @ coeff))
-        if abs(recheck - value) > tol.objective_recheck * max(1.0, abs(value)):
+        if abs(recheck - value) > _OBJECTIVE_RECHECK * max(1.0, abs(value)):
             raise NumericFailureError("extremal witness does not reproduce the LP value")
         return ExtremalResult(
             value=value,
@@ -760,7 +773,7 @@ def markov_constant_numeric(
     One walk starts at each band end.  A step solves the pointwise LP at the
     current point and moves to the exact argmax over the set of the witness's
     |P^(k)|.  A walk stops when that argmax is a point this call has already
-    solved, or when its LP value rises by no more than objective_recheck
+    solved, or when its LP value rises by no more than _OBJECTIVE_RECHECK
     relative to the previous step.  The result is the best LP value over all
     walks, at the abscissa where it was solved, so it is a certified lower
     bound on the constant (up to cert_slack): the walks are local, and on a
@@ -781,7 +794,7 @@ def markov_constant_numeric(
             result = lp.solve(x0, k)
             if best is None or result.value > best.value:
                 best = result
-            if last is not None and result.value <= last * (1.0 + tol.objective_recheck):
+            if last is not None and result.value <= last * (1.0 + _OBJECTIVE_RECHECK):
                 break
             last = result.value
             deriv = _derivative(basis, np.asarray(result.coefficients)[None, :], k)
@@ -819,14 +832,7 @@ def _weighted_nodes(e: IntervalUnion, w: Weight, m: int) -> tuple[np.ndarray, np
     return np.concatenate(nodes), np.concatenate(scales)
 
 
-def _gram_factors(
-    e: IntervalUnion,
-    w: Weight,
-    basis: PolyBasis,
-    mode: str,
-    tol: Tolerances,
-    xi=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _gram_factors(e: IntervalUnion, w: Weight, basis: PolyBasis, mode: str, xi=None) -> tuple[np.ndarray, np.ndarray]:
     """Row factors (N, M) of the derivative/plain Gram pencil: A = N^T N, B = M^T M.
 
     The weights for P and P' are (w, w) in markov mode, (w, w with every
@@ -842,7 +848,7 @@ def _gram_factors(
     reference intervals.
     """
     if mode == "omega-bernstein":
-        xi = solve_xi(e, tol) if xi is None else xi
+        xi = solve_xi(e) if xi is None else xi
         ends = len(e.endpoints)
 
         def gap_product(t):
@@ -868,6 +874,8 @@ def _l2_checked_weight(e: IntervalUnion, w: Weight | None, degrees, mode: str) -
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     if not all(isinstance(n, int) and 1 <= n <= 100 for n in degrees):
         raise InvalidArgumentError("degree must be an integer in 1..100")
+    if mode == "omega-bernstein" and w is not None:
+        raise InvalidArgumentError("omega-bernstein mode weighs by the equilibrium measure and takes no weight")
     if w is None:
         w = Weight.unweighted(e)
     w.validate_on(e)
@@ -883,7 +891,6 @@ def l2_ratio_numeric(
     w: Weight | None,
     n: int,
     mode: str = "markov",
-    tol: Tolerances = DEFAULT_TOL,
     reference: tuple[float, float] | None = None,
     xi=None,
 ) -> float:
@@ -891,17 +898,18 @@ def l2_ratio_numeric(
 
     mode=markov compares ||P'|| to ||P|| in L2(w); gradient-bernstein inserts
     the multiplier (1-x^2) and therefore requires E = [-1, 1]; omega-bernstein
-    ignores w and measures P'/(pi * density) in L2(equilibrium measure);
-    there xi may pass the gap points of e, so that a sweep over degrees
-    solves them once.
+    takes no w (None) and measures P'/(pi * density) in L2(equilibrium
+    measure); there xi may pass the gap points of e, so that a sweep over
+    degrees solves them once.
     """
     w = _l2_checked_weight(e, w, (n,), mode)
     basis = PolyBasis("algebraic-chebyshev", n, reference or e.covering_interval)
-    a_fac, b_fac = _gram_factors(e, w, basis, mode, tol, xi)
+    _check_half_widths(basis.reference, *e.bands)
+    a_fac, b_fac = _gram_factors(e, w, basis, mode, xi)
     cond_b = float(np.linalg.cond(b_fac)) ** 2
-    if not np.isfinite(cond_b) or cond_b > tol.basis_cond_max:
+    if not np.isfinite(cond_b) or cond_b > _BASIS_COND_MAX:
         raise NumericFailureError(
-            f"basis Gram condition estimate {cond_b:.3e} exceeds {tol.basis_cond_max:.1e}; "
+            f"basis Gram condition estimate {cond_b:.3e} exceeds {_BASIS_COND_MAX:.1e}; "
             "choose a reference interval closer to the covering interval"
         )
     # QR of the B-factor yields the Cholesky factor of B without squaring the
@@ -1114,7 +1122,7 @@ def verify_inequality(
 ) -> VerifyReport:
     """Randomized check of a non-asymptotic inequality; `order` is the
     derivative order used by the exact higher-derivative inequality only,
-    and must lie in 1..verify_max_degree there.
+    and must lie in 1.._VERIFY_MAX_DEGREE there.
 
     Each trial draws its degree and then its coefficients from the seeded
     generator, in trial order; all trials are then checked as one stack,
@@ -1130,10 +1138,8 @@ def verify_inequality(
         raise InvalidArgumentError("trials must be an integer >= 1")
     if not (_is_integer(rng_seed) and rng_seed >= 0):
         raise InvalidArgumentError("seed must be a non-negative integer")
-    if inequality == "va-markov" and not (_is_integer(order) and 1 <= order <= tol.verify_max_degree):
-        raise InvalidArgumentError(
-            f"va-markov needs a derivative order in 1..{tol.verify_max_degree}, got {order!r}"
-        )
+    if inequality == "va-markov" and not (_is_integer(order) and 1 <= order <= _VERIFY_MAX_DEGREE):
+        raise InvalidArgumentError(f"va-markov needs a derivative order in 1..{_VERIFY_MAX_DEGREE}, got {order!r}")
     if not (np.isfinite(density_scale) and density_scale > 0):
         raise InvalidArgumentError("density_scale must be positive")
     ctx = _verify_context(s, inequality, tol, float(density_scale), density)
@@ -1143,15 +1149,15 @@ def verify_inequality(
     degrees = np.empty(trials, dtype=int)
     draws = []
     for trial in range(trials):
-        n = int(rng.integers(lowest, tol.verify_max_degree + 1))
+        n = int(rng.integers(lowest, _VERIFY_MAX_DEGREE + 1))
         degrees[trial] = n
         draws.append(rng.standard_normal(2 * n + 1 if trig else n + 1))
     stack = np.zeros((trials, max(row.size for row in draws)))
     for row, draw in zip(stack, draws):
         row[: draw.size] = draw
-    ratios = _ratios(inequality, ctx, degrees, order, stack, 1.0 + tol.verify_hard)
+    ratios = _ratios(inequality, ctx, degrees, order, stack, 1.0 + _VERIFY_HARD)
     worst = int(np.argmax(ratios))       # the first trial that reaches the maximum
-    bad = np.flatnonzero(ratios > 1.0 + tol.verify_hard)
+    bad = np.flatnonzero(ratios > 1.0 + _VERIFY_HARD)
     return VerifyReport(
         inequality=inequality,
         trials=trials,

@@ -231,7 +231,7 @@ def riesz_factor(s: Circle | Lemniscate, z: complex, tol: Tolerances = DEFAULT_T
         d = circle_density(s, tol)
         return FactorReport("riesz-curve", 2.0 * math.pi * d.evaluate(z), 1, False)
     if isinstance(s, Lemniscate):
-        d = lemniscate_density(s, tol)
+        d = lemniscate_density(s)
         value = 2.0 * math.pi * d.evaluate(z)
         if value == 0.0:
             raise DomainError("factor degenerates at a critical point")
@@ -272,21 +272,17 @@ def bernstein_higher(
 # endpoint (Markov-type) factors
 # ---------------------------------------------------------------------------
 
-def markov_local(
-    e: IntervalUnion, j: int, xi=None, tol: Tolerances = DEFAULT_TOL
-) -> FactorReport:
+def markov_local(e: IntervalUnion, j: int, xi=None) -> FactorReport:
     """2 pi^2 Omega_j^2: the sharp asymptotic second-order degree factor near
     endpoint j of a real set."""
-    om = omega_limit(e, j, xi, tol).omega_limit
+    om = omega_limit(e, j, xi).omega_limit
     return FactorReport("markov-local", _endpoint_factor(2.0, om, 1), 2, True)
 
 
-def markov_global(e: IntervalUnion, xi=None, tol: Tolerances = DEFAULT_TOL) -> FactorReport:
+def markov_global(e: IntervalUnion, xi=None) -> FactorReport:
     if xi is None:
-        xi = solve_xi(e, tol)
-    best = max(
-        omega_limit(e, j, xi, tol).omega_limit for j in range(1, 2 * e.m + 1)
-    )
+        xi = solve_xi(e)
+    best = max(omega_limit(e, j, xi).omega_limit for j in range(1, 2 * e.m + 1))
     return FactorReport("markov-global", _endpoint_factor(2.0, best, 1), 2, True)
 
 
@@ -312,13 +308,11 @@ def markov_trig(
     return FactorReport("markov-trig", _endpoint_factor(8.0, om, 1), 2, True)
 
 
-def markov_higher(
-    e: IntervalUnion, j: int, k: int, xi=None, tol: Tolerances = DEFAULT_TOL
-) -> FactorReport:
+def markov_higher(e: IntervalUnion, j: int, k: int, xi=None) -> FactorReport:
     """2^k pi^{2k} Omega_j^{2k} / (2k-1)!! for the k-th derivative."""
     if not (isinstance(k, int) and k >= 1):
         raise InvalidArgumentError("k must be a positive integer")
-    om = omega_limit(e, j, xi, tol).omega_limit
+    om = omega_limit(e, j, xi).omega_limit
     return FactorReport("higher-markov", _endpoint_factor(2.0, om, k), 2 * k, True)
 
 
@@ -374,10 +368,10 @@ def l2_markov_constant(
         w = Weight.unweighted(e)
     w.validate_on(e)
     if xi is None:
-        xi = solve_xi(e, tol)
+        xi = solve_xi(e)
     best = -math.inf
     for j in range(1, 2 * e.m + 1):
-        om = omega_limit(e, j, xi, tol).omega_limit
+        om = omega_limit(e, j, xi).omega_limit
         best = max(best, math.pi**2 * om * om / nu_exponent(w.exponents[j - 1], tol))
     plain = all(a == 0.0 for a in w.exponents) and w.h is None
     kind = "l2-markov" if plain else "l2-markov-weighted"

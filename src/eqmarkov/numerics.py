@@ -30,6 +30,11 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
 
 LP_STATUSES = ("optimal", "infeasible", "unbounded", "iteration-limit")
+# an LP vertex satisfies every row to within LP_FEASIBILITY, and has at most
+# LP_MAX_VARIABLES coordinates; the LP exchange in `extremal` reads both
+LP_FEASIBILITY = 1e-9
+LP_MAX_VARIABLES = 200
+_GL_MAX_POINTS = 10000
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,8 @@ class Recurrence:
 
 def gauss_legendre(n: int, *, tol: Tolerances = DEFAULT_TOL) -> QuadratureRule:
     """Classical n-point Gauss-Legendre rule on [-1,1]."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > tol.gl_max_points:
-        raise InvalidArgumentError(f"gauss_legendre size must be in [1, {tol.gl_max_points}]")
+    if not isinstance(n, (int, np.integer)) or n < 1 or n > _GL_MAX_POINTS:
+        raise InvalidArgumentError(f"gauss_legendre size must be in [1, {_GL_MAX_POINTS}]")
     rule = _gauss_legendre_rule(int(n))
     # checked per call, not in the cache, so that each caller's tol applies
     if abs(rule.weights.sum() - 2.0) > tol.gl_weight_sum:
@@ -318,16 +323,16 @@ def simplex_solve(
 
     Solved by dual simplex so that the reported optimum is a vertex of the
     feasible polytope.  Feasibility of an optimal solution is re-checked
-    against the raw data to tol.lp_feasibility.
+    against the raw data to LP_FEASIBILITY.
     """
     c = np.asarray(objective, dtype=float)
     a = np.atleast_2d(np.asarray(lhs, dtype=float))
     b = np.asarray(rhs, dtype=float)
     if c.ndim != 1 or a.shape != (b.size, c.size):
         raise InvalidArgumentError("inconsistent LP dimensions")
-    if b.size > tol.lp_max_constraints or c.size > tol.lp_max_variables:
+    if b.size > tol.lp_max_constraints or c.size > LP_MAX_VARIABLES:
         raise InvalidArgumentError(
-            f"LP limited to {tol.lp_max_constraints} constraints x {tol.lp_max_variables} variables"
+            f"LP limited to {tol.lp_max_constraints} constraints x {LP_MAX_VARIABLES} variables"
         )
     from scipy.optimize import linprog
 
@@ -340,7 +345,7 @@ def simplex_solve(
         options={
             "maxiter": tol.lp_iteration_limit,
             # tightest tolerances HiGHS accepts, so the vertex re-check below
-            # can be held to tol.lp_feasibility
+            # can be held to LP_FEASIBILITY
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         },
@@ -348,7 +353,7 @@ def simplex_solve(
     if res.status == 0:
         x = np.asarray(res.x, dtype=float)
         residual = float(np.max(a @ x - b, initial=0.0))
-        if residual > tol.lp_feasibility:
+        if residual > LP_FEASIBILITY:
             # The solver's vertex is only accurate to its internal tolerance.
             # By complementary slackness every row with a nonzero multiplier
             # is exactly binding at the optimum, so re-solving that system by
@@ -374,7 +379,7 @@ def simplex_solve(
             refined_residual = float(np.max(a @ refined - b, initial=0.0))
             if refined_residual < residual:
                 x, residual = refined, refined_residual
-        if residual > tol.lp_feasibility:
+        if residual > LP_FEASIBILITY:
             raise NumericFailureError(f"LP feasibility residual {residual:.3e}")
         return LPResult(float(c @ x), x, "optimal")
     if res.status == 1:
@@ -387,25 +392,20 @@ def simplex_solve(
 
 
 _EPS = float(np.finfo(float).eps)
-# Bisection needs at most about 60 halvings to shrink a bracket to root_abs
+_ROOT_ABS = 1e-13
+# Bisection needs at most about 60 halvings to shrink a bracket to _ROOT_ABS
 # (or to 4 eps |x| for large |x|); where interpolation stalls, as at a
 # multiple root, Brent's method spends about three steps per halving.
 _ROOT_MAX_STEPS = 300
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Root of f in [lo, hi] given a sign change, to absolute tolerance tol.root_abs.
+def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] given a sign change, to absolute tolerance _ROOT_ABS.
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
     ch. 4): inverse quadratic or secant steps while they shrink the bracket
     fast enough, bisection otherwise.  Every iterate stays inside the current
-    bracket, and the bracket shrinks to 2 * (2 eps |x| + root_abs / 2).
+    bracket, and the bracket shrinks to 2 * (2 eps |x| + _ROOT_ABS / 2).
     """
     if not lo < hi:
         raise InvalidArgumentError("need lo < hi")
@@ -428,7 +428,7 @@ def find_root_bracketed(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        step_min = 2.0 * _EPS * abs(b) + 0.5 * tol.root_abs
+        step_min = 2.0 * _EPS * abs(b) + 0.5 * _ROOT_ABS
         half = 0.5 * (c - b)
         if abs(half) <= step_min or fb == 0.0:
             return b

@@ -103,7 +103,7 @@ class ArcUnion:
 
     def locate_angle(self, theta: float) -> Location:
         """Classify an angle (wrapped to [-pi, pi)) against the arcs."""
-        t = wrap_angle(theta)
+        t = wrap_angle(_finite(theta))
         for idx, a in enumerate(self.angles):
             if t == a:
                 return Location("endpoint", idx + 1)
@@ -155,7 +155,7 @@ class Lemniscate:
         dcoef = np.polynomial.polynomial.polyder(np.asarray(self.coefficients))
         return complex(np.polynomial.polynomial.polyval(z, dcoef))
 
-    def on_curve(self, z: complex, tol: float = DEFAULT_TOL.lemniscate_on_curve) -> bool:
+    def on_curve(self, z: complex, tol: float = 1e-10) -> bool:
         return abs(abs(self.value(z)) - 1.0) <= tol
 
 
@@ -175,7 +175,7 @@ class PeriodicSet:
         return self.base.m
 
     def locate(self, theta: float) -> Location:
-        return locate(self.base, wrap_angle(theta))
+        return locate(self.base, wrap_angle(_finite(theta)))
 
 
 SetLike = Union[IntervalUnion, ArcUnion, Circle, Lemniscate, PeriodicSet]
@@ -214,9 +214,14 @@ def affine_image(e: IntervalUnion, scale: float, shift: float = 0.0) -> Interval
     return IntervalUnion(tuple(pts))
 
 
-def locate(e: IntervalUnion, x: float) -> Location:
-    if not np.isfinite(x):
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
         raise InvalidArgumentError("locate: point must be finite")
+    return x
+
+
+def locate(e: IntervalUnion, x: float) -> Location:
+    _finite(x)
     pts = e.endpoints
     for j, a in enumerate(pts):
         if x == a:

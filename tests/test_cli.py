@@ -296,7 +296,7 @@ class TestL2:
     @pytest.mark.parametrize("args, message", [
         (["--n", "101"], "degree must be an integer in 1..100"),
         (["--sweep", "4:101:97"], "degree must be an integer in 1..100"),
-        (["--n", "4", "--weight", '{"exponents":[1]}'], "weight needs one exponent per endpoint"),
+        (["--n", "4", "--weight", '{"exponents":[1]}'], "omega-bernstein mode weighs by the equilibrium measure"),
     ], ids=["degree", "last-degree-of-sweep", "weight"])
     def test_argument_fault_exits_two_before_the_gap_points(self, capsys, args, message):
         # the gap points of this set miss their residual bound (exit 3), so
@@ -305,6 +305,17 @@ class TestL2:
         code, out, err = run(capsys, "l2", "--set", far, "--mode", "omega-bernstein", *args)
         assert code == 2 and out == ""
         assert message in err
+
+
+    @pytest.mark.parametrize("args", [
+        ["--set", TWO, "--weight", '{"exponents":[0.5,0.5,0.2,0.1]}'],
+        ["--set", UNIT, "--alpha", "0.5", "--beta-exp", "0.3"],
+    ], ids=["weight", "jacobi"])
+    def test_omega_bernstein_refuses_a_weight(self, capsys, args):
+        # the mode weighs by the equilibrium measure, so a weight goes unread
+        code, out, err = run(capsys, "l2", "--n", "4", "--mode", "omega-bernstein", *args)
+        assert code == 2 and out == ""
+        assert "takes no weight" in err
 
 
 class TestPlumbing:
@@ -503,8 +514,8 @@ class TestFlagTable:
         ("extremal", {"sweep": "4:5:1", "point": "0.5"}, ["--set", UNIT, "--sweep", "4:5:1", "--point", "0.5"]),
         ("verify", {"corrupt_density": True, "inequality": "bernstein-alg", "trials": 3},
          ["--set", UNIT, "--corrupt-density", "--inequality", "bernstein-alg", "--trials", "3"]),
-        ("l2", {"mode": "omega-bernstein", "n": 4, "weight": '{"exponents":[1,1]}'},
-         ["--set", UNIT, "--mode", "omega-bernstein", "--n", "4", "--weight", '{"exponents":[1,1]}']),
+        ("l2", {"mode": "gradient-bernstein", "n": 4, "weight": '{"exponents":[1,1]}'},
+         ["--set", UNIT, "--mode", "gradient-bernstein", "--n", "4", "--weight", '{"exponents":[1,1]}']),
     ], ids=list(READS))
     def test_read_config_keys_act_as_their_flags(self, capsys, tmp_path, command, keys, flags):
         conf = tmp_path / "conf.json"
@@ -570,6 +581,43 @@ class TestFlagTable:
         code, out, err = run(capsys, "factors", *args)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+class TestDegenerateInputs:
+    """Inputs at the edge of floating point exit with a typed failure, never
+    with a traceback or an uncertified number."""
+
+    WIDE = '{"type":"intervals","endpoints":[-1e308,1e308]}'
+    TINY = '{"type":"intervals","endpoints":[0,1e-300]}'
+
+    @pytest.mark.parametrize("args", [
+        ["factors", "--set", '{"type":"arcs","angles":[-2,-0.5,0.5,2]}'],
+        ["factors", "--set", '{"type":"periodic","endpoints":[-2,-0.5,0.5,2]}'],
+        ["extremal", "--set", '{"type":"periodic","endpoints":[-2,2]}', "--n", "4"],
+        ["factors", "--set", '{"type":"circle","r":1}'],
+    ], ids=["factors-arcs", "factors-periodic", "extremal-periodic", "factors-circle"])
+    def test_non_finite_point_exits_two(self, capsys, args):
+        code, out, err = run(capsys, *args, "--point", "inf")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be finite" in err
+
+    @pytest.mark.parametrize("args", [
+        ["extremal", "--n", "3"], ["extremal", "--n", "3", "--point", "0"], ["l2", "--n", "4"],
+    ], ids=["extremal-markov", "extremal-pointwise", "l2"])
+    def test_overflowing_band_width_exits_three(self, capsys, args):
+        # the set's own check of its endpoints overflows, which numpy warns of
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, *args, "--set", self.WIDE)
+        assert code == 3 and out == ""
+        assert "half-width overflows" in err
+
+    @pytest.mark.parametrize("args", [
+        ["eqdensity", "--grid", "4"], ["factors", "--point", "5e-301"], ["verify", "--trials", "3"],
+    ], ids=["eqdensity", "factors", "verify"])
+    def test_underflowing_density_exits_three(self, capsys, args):
+        code, out, err = run(capsys, *args, "--set", self.TINY)
+        assert code == 3 and out == ""
+        assert "not finite" in err
 
 
 class TestFactorsBesselRange:

@@ -31,6 +31,9 @@ from eqmarkov.errors import (
     ResourceLimitError,
 )
 from eqmarkov.extremal import (
+    _OBJECTIVE_RECHECK,
+    _VERIFY_HARD,
+    _VERIFY_MAX_DEGREE,
     ExtremalResult,
     PolyBasis,
     VerifyReport,
@@ -51,7 +54,7 @@ from eqmarkov.factors import (
     videnskii_markov,
     videnskii_pointwise,
 )
-from eqmarkov.numerics import simplex_solve
+from eqmarkov.numerics import LP_FEASIBILITY, simplex_solve
 from eqmarkov.sets import Circle, IntervalUnion, PeriodicSet
 
 UNIT = IntervalUnion((-1.0, 1.0))
@@ -206,7 +209,7 @@ class TestExtremalResult:
         # cert_slack under lp_feasibility: points between the two must still
         # become cutting planes (n = 8 at the center stalls without them)
         tighter = dataclasses.replace(DEFAULT_TOL, cert_slack=1e-10)
-        assert tighter.cert_slack < tighter.lp_feasibility
+        assert tighter.cert_slack < LP_FEASIBILITY
         res = pointwise_derivative_sup(UNIT, PolyBasis("algebraic-chebyshev", 8), 0.0, tol=tighter)
         assert res.certified_norm <= 1.0 + tighter.cert_slack
         per = PeriodicSet(IntervalUnion((-2.0, 2.0)))
@@ -280,6 +283,16 @@ class TestPointwiseLP:
         basis = PolyBasis("algebraic-chebyshev", 10, (-60.0, 60.0))
         with pytest.raises(NumericFailureError):
             pointwise_derivative_sup(UNIT, basis, 0.0)
+
+    def test_overflowing_half_width_raises(self):
+        # the set's own check of its endpoints overflows, which numpy warns of
+        with np.errstate(over="ignore"):
+            wide = IntervalUnion((-1e308, 1e308))
+        basis = PolyBasis("algebraic-chebyshev", 3, wide.covering_interval)
+        with pytest.raises(NumericFailureError, match="half-width overflows"):
+            pointwise_derivative_sup(wide, basis, 0.0)
+        with pytest.raises(NumericFailureError, match="half-width overflows"):
+            markov_constant_numeric(wide, basis)
 
     def test_resource_limit_honest(self):
         tight = dataclasses.replace(DEFAULT_TOL, lp_max_constraints=10)
@@ -757,7 +770,7 @@ class TestExchangeOracles:
             value = float(objective @ x)
             lp = highs_lp(rows, objective, tol)
             assert lp.status == "optimal"
-            assert abs(lp.objective - value) <= tol.lp_feasibility * abs(lp.objective)
+            assert abs(lp.objective - value) <= LP_FEASIBILITY * abs(lp.objective)
             values.append(value)
             return x, ref
 
@@ -801,7 +814,7 @@ class TestExchangeOracles:
             a = mpmath.lu_solve(v, mpmath.matrix([mpmath.sign(wi) for wi in w]))
             value = abs(sum(ci * ai for ci, ai in zip(c, a)))
             assert abs(value - sum(abs(wi) for wi in w)) <= mpmath.mpf(10) ** -25 * value
-            assert abs(float(value) - res.value) <= DEFAULT_TOL.objective_recheck * float(value)
+            assert abs(float(value) - res.value) <= _OBJECTIVE_RECHECK * float(value)
 
     def test_random_problems_agree_with_highs(self, monkeypatch):
         # Seeded problems across band layouts, arcs, degrees and orders: each
@@ -872,7 +885,7 @@ class TestExchangeRoundoffPivot:
         rows, objective, value = lps[-1]
         lp = highs_lp(rows, objective, DEFAULT_TOL)
         assert lp.status == "optimal"
-        assert abs(lp.objective - value) <= DEFAULT_TOL.lp_feasibility * abs(lp.objective)
+        assert abs(lp.objective - value) <= LP_FEASIBILITY * abs(lp.objective)
 
 
 class TestExchangeCycles:
@@ -1251,6 +1264,19 @@ class TestL2Pencil:
         with pytest.raises(NumericFailureError):
             l2_ratio_numeric(UNIT, None, 12, reference=(-2.5, 2.5))
 
+    def test_overflowing_half_width_raises(self):
+        # the set's own check of its endpoints overflows, which numpy warns of
+        with np.errstate(over="ignore"):
+            wide = IntervalUnion((-1e308, 1e308))
+        with pytest.raises(NumericFailureError, match="half-width overflows"):
+            l2_ratio_numeric(wide, None, 4)
+
+    def test_omega_bernstein_takes_no_weight(self):
+        with pytest.raises(InvalidArgumentError, match="takes no weight"):
+            l2_ratio_numeric(UNIT, Weight.jacobi(0.5, 0.3), 4, mode="omega-bernstein")
+        with pytest.raises(InvalidArgumentError, match="takes no weight"):
+            l2_ratio_numeric(TWO, Weight((0.5, 0.5, 0.2, 0.1)), 4, mode="omega-bernstein")
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             l2_ratio_numeric(UNIT, None, 5, mode="sobolev")
@@ -1283,7 +1309,7 @@ class TestVerifyHarness:
     def test_no_violations(self, inequality, domain):
         report = verify_inequality(domain, inequality, trials=60, rng_seed=1234)
         assert report.ok, report.violations
-        assert report.max_ratio <= 1.0 + DEFAULT_TOL.verify_hard
+        assert report.max_ratio <= 1.0 + _VERIFY_HARD
         assert report.max_ratio > 0.0
 
     def test_szego_saturates_near_one(self):
@@ -1291,11 +1317,11 @@ class TestVerifyHarness:
         # already equals n^2 ||P||^2, so the best ratio over many trials must
         # come out essentially 1.
         report = verify_inequality(UNIT, "szego-unit", trials=40, rng_seed=7)
-        assert 0.9 <= report.max_ratio <= 1.0 + DEFAULT_TOL.verify_hard
+        assert 0.9 <= report.max_ratio <= 1.0 + _VERIFY_HARD
 
     def test_riesz_tight(self):
         report = verify_inequality(UNIT, "riesz-circle", trials=40, rng_seed=11)
-        assert 0.5 <= report.max_ratio <= 1.0 + DEFAULT_TOL.verify_hard
+        assert 0.5 <= report.max_ratio <= 1.0 + _VERIFY_HARD
 
     def test_seed_determinism(self):
         a = verify_inequality(UNIT, "bernstein-unit", trials=25, rng_seed=99)
@@ -1315,7 +1341,7 @@ class TestVerifyHarness:
             verify_inequality(UNIT, "markov-unit", trials=0, rng_seed=0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"inequality": "va-markov", "order": DEFAULT_TOL.verify_max_degree + 1},
+        {"inequality": "va-markov", "order": _VERIFY_MAX_DEGREE + 1},
         {"inequality": "va-markov", "order": 0},
         {"inequality": "va-markov", "order": 2.0},
         {"inequality": "markov-unit", "rng_seed": -1},
@@ -1362,7 +1388,7 @@ class TestVerifyHarness:
             verify_inequality(SPLIT if domain == TWO else TWO, "bernstein-alg", 5, 0, density=density)
 
     def test_order_limits_accepted(self):
-        top = DEFAULT_TOL.verify_max_degree
+        top = _VERIFY_MAX_DEGREE
         assert verify_inequality(UNIT, "va-markov", 3, 0, order=top).worst_degree == top
         assert verify_inequality(UNIT, "va-markov", 3, 0, order=1).ok
         # order is read by va-markov only
@@ -1452,7 +1478,6 @@ def oracle_circle_sup(c: np.ndarray) -> float:
 
 def oracle_verify(s, inequality, trials, seed, order=2, density_scale=1.0):
     """(max_ratio, worst_degree, violations, witnesses), one trial at a time."""
-    tol = DEFAULT_TOL
     bands = ((-math.pi, math.pi),) if inequality in ("trig-full-period", "riesz-circle") else (
         s.base.bands if isinstance(s, PeriodicSet) else s.bands)
     probes = np.concatenate([np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 64) for lo, hi in bands])
@@ -1461,7 +1486,7 @@ def oracle_verify(s, inequality, trials, seed, order=2, density_scale=1.0):
     rng = np.random.default_rng(seed)
     best, worst_degree, violations, witnesses = -math.inf, 0, [], []
     for trial in range(trials):
-        n = int(rng.integers(order if inequality == "va-markov" else 1, tol.verify_max_degree + 1))
+        n = int(rng.integers(order if inequality == "va-markov" else 1, _VERIFY_MAX_DEGREE + 1))
         trig = inequality in ("bernstein-trig", "trig-full-period")
         c = rng.standard_normal(2 * n + 1 if trig else n + 1)
         if inequality == "riesz-circle":
@@ -1494,7 +1519,7 @@ def oracle_verify(s, inequality, trials, seed, order=2, density_scale=1.0):
                 ratio = np.max(np.abs(dp) / (math.pi * omega)) / (n * norm)
         if ratio > best:
             best, worst_degree = ratio, n
-        if ratio > 1.0 + tol.verify_hard:
+        if ratio > 1.0 + _VERIFY_HARD:
             violations.append((trial, n, float(ratio)))
             witnesses.append(tuple(float(v) for v in c))
     return float(best), worst_degree, violations, witnesses
@@ -1696,7 +1721,7 @@ def pruning_faults(monkeypatch, seeds, trials=40, first=False):
     hi > 1 + verify_hard."""
     import eqmarkov.extremal as ex
 
-    hard = 1.0 + DEFAULT_TOL.verify_hard
+    hard = 1.0 + _VERIFY_HARD
     seen = {}
     inner_filter, inner_ratios = ex._exact_where_needed, ex._ratios
 

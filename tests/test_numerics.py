@@ -30,6 +30,7 @@ import eqmarkov.numerics as numerics
 from eqmarkov.config import DEFAULT_TOL, Tolerances
 from eqmarkov.errors import InvalidArgumentError, NumericFailureError
 from eqmarkov.numerics import (
+    _ROOT_ABS,
     BesselZero,
     LPResult,
     QuadratureRule,
@@ -415,8 +416,8 @@ class TestRootFinding:
     def test_agrees_with_brentq(self, case):
         f, lo, hi = self.CASES[case]
         assert f(lo) * f(hi) < 0
-        ref = brentq(f, lo, hi, xtol=DEFAULT_TOL.root_abs)
-        assert abs(find_root_bracketed(f, lo, hi) - ref) <= DEFAULT_TOL.root_abs
+        ref = brentq(f, lo, hi, xtol=_ROOT_ABS)
+        assert abs(find_root_bracketed(f, lo, hi) - ref) <= _ROOT_ABS
 
     def test_evaluation_budget(self):
         calls = []
@@ -449,9 +450,9 @@ class TestRootFinding:
             return value
 
         found = find_root_bracketed(f, 0.0, 1.0)
-        assert abs(found - root) <= DEFAULT_TOL.root_abs
+        assert abs(found - root) <= _ROOT_ABS
         # bisection's halvings, at most four evaluations each
-        assert len(calls) <= 4 * math.ceil(math.log2(1.0 / DEFAULT_TOL.root_abs))
+        assert len(calls) <= 4 * math.ceil(math.log2(1.0 / _ROOT_ABS))
 
 
 class TestValidation:

@@ -118,6 +118,14 @@ class TestLocate:
         assert locate(e, 0.0).kind == "gap"
         assert locate(e, 2.0).kind == "outside"
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, theta):
+        # a non-finite angle has no wrap into [-pi, pi)
+        with pytest.raises(InvalidArgumentError, match="point must be finite"):
+            ArcUnion((-2.0, -0.5, 0.5, 2.0)).locate_angle(theta)
+        with pytest.raises(InvalidArgumentError, match="point must be finite"):
+            PeriodicSet(IntervalUnion((-2.0, -0.5, 0.5, 2.0))).locate(theta)
+
 
 class TestJson:
     @pytest.mark.parametrize(
